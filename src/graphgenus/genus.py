@@ -2,11 +2,15 @@
 
 A genus is generated by a one-variable series Q with Q(0) = 1: take
 formal roots x_1, ..., splitting the total Chern class, and expand
-prod_i Q(x_i) into symmetric functions.  We compute log Q, write
-sum_i log Q(x_i) in the power-sum classes s_j, exponentiate in a
-weight-truncated polynomial ring, and convert to Chern classes with
-Newton's identities.  All coefficients are Fractions; series carry an
-explicit truncation order and refuse mixed-order arithmetic.
+prod_i Q(x_i) into symmetric functions.  One core does this for every
+presentation: with q = log Q, sum_i log Q(x_i) = sum_j q_j s_j in the
+power sums s_j, and the genus is the top-weight part of its
+exponential.  The core takes s_j in whichever basis is wanted (the s_j
+themselves, Chern classes, or Pontryagin classes), each produced by the
+one cached Newton recursion.  The exponential of a graded polynomial L
+is built weight by weight from w E_w = sum_j j L_j E_{w-j}.  All
+coefficients are Fractions; series carry an explicit truncation order
+and refuse mixed-order arithmetic.
 
 Weights are complex degrees: c_i and s_i have weight i, and the
 Pontryagin symbol p_j has weight 2j, so the real-degree-4k piece of a
@@ -15,6 +19,7 @@ weight-k component in the p indices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -194,15 +199,8 @@ def todd_series(order: Optional[int] = None) -> CharPowerSeries:
     """x/(1 - e^{-x}), via inverting (1-e^{-x})/x = sum (-x)^n/(n+1)!."""
     if order is None:
         order = default_order()
-    coeffs = [Fraction((-1) ** n, _factorial(n + 1)) for n in range(order + 1)]
+    coeffs = [Fraction((-1) ** n, math.factorial(n + 1)) for n in range(order + 1)]
     return CharPowerSeries(coeffs, order).inverse()
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +310,22 @@ class ChernPolynomial:
         return max((self.weight(m) for m in self.terms), default=0)
 
     def exp_truncated(self, max_weight: int) -> "ChernPolynomial":
+        """exp(self) through weight max_weight.
+
+        The weight grading w is a derivation, so E = exp(L) satisfies
+        w E_w = sum_{j=1..w} j L_j E_{w-j} on homogeneous parts.
+        """
         if () in self.terms:
             raise BadConstantTerm("exp needs zero constant term")
-        base = self.truncate(max_weight)
-        out = ChernPolynomial.one(self.symbol)
-        term = ChernPolynomial.one(self.symbol)
-        fact = 1
-        for m in range(1, max_weight + 1):
-            term = (term * base).truncate(max_weight)
-            if not term:
-                break
-            fact *= m
-            out = out + term * Fraction(1, fact)
-        return out
+        parts = [self.homogeneous(j) for j in range(max_weight + 1)]
+        graded = [ChernPolynomial.one(self.symbol)]
+        for w in range(1, max_weight + 1):
+            acc = ChernPolynomial.zero(self.symbol)
+            for j in range(1, w + 1):
+                if parts[j] and graded[w - j]:
+                    acc = acc + parts[j] * graded[w - j] * j
+            graded.append(acc * Fraction(1, w))
+        return sum(graded[1:], graded[0])
 
     def substitute(self, table: Mapping[int, "ChernPolynomial"],
                    symbol: str) -> "ChernPolynomial":
@@ -373,29 +374,32 @@ class ChernPolynomial:
 
 
 @lru_cache(maxsize=None)
-def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
-    """s_j as a polynomial in c_1..c_j.
+def _power_sum(j: int, symbol: str) -> ChernPolynomial:
+    """j-th power sum of the roots whose elementary classes are symbol_i.
 
-    Newton: s_j = sum_{i<j} (-1)^{i-1} c_i s_{j-i} + (-1)^{j-1} j c_j.
-    With odd_vanish, monomials containing an odd index are dropped
-    (eigenvalues in opposite pairs kill all odd classes).
+    Newton: s_j = sum_{i<j} (-1)^{i-1} e_i s_{j-i} + (-1)^{j-1} j e_j.
     """
     if j < 1:
         raise ValueError("power sums are indexed from 1")
-    acc = ChernPolynomial.zero("c")
+    acc = ChernPolynomial.zero(symbol)
     for i in range(1, j):
         acc = acc + (Fraction((-1) ** (i - 1))
-                     * ChernPolynomial.variable("c", i)
-                     * power_sum_in_chern(j - i, False))
-    acc = acc + Fraction((-1) ** (j - 1) * j) * ChernPolynomial.variable("c", j)
-    if odd_vanish:
-        acc = _drop_odd(acc)
-    return acc
+                     * ChernPolynomial.variable(symbol, i)
+                     * _power_sum(j - i, symbol))
+    return acc + Fraction((-1) ** (j - 1) * j) * ChernPolynomial.variable(symbol, j)
 
 
-def _drop_odd(p: ChernPolynomial) -> ChernPolynomial:
-    return ChernPolynomial(p.symbol, {
-        m: c for m, c in p.terms.items() if all(i % 2 == 0 for i in m)})
+def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
+    """s_j as a polynomial in c_1..c_j.
+
+    With odd_vanish, monomials containing an odd index are dropped
+    (eigenvalues in opposite pairs kill all odd classes).
+    """
+    s_j = _power_sum(j, "c")
+    if not odd_vanish:
+        return s_j
+    return ChernPolynomial("c", {
+        m: c for m, c in s_j.terms.items() if all(i % 2 == 0 for i in m)})
 
 
 @lru_cache(maxsize=None)
@@ -434,43 +438,33 @@ def log_coefficients(Q: CharPowerSeries) -> list[Fraction]:
     return list(Q.log().coeffs[1:])
 
 
-def genus_in_power_sums(Q: CharPowerSeries, k: int,
-                        odd_vanish: bool = True) -> ChernPolynomial:
-    """Weight-2k part of exp(sum_j q_j s_j), kept in the s variables."""
+def _genus(Q: CharPowerSeries, k: int, symbol: str,
+           power_sum: Callable[[int], ChernPolynomial]) -> ChernPolynomial:
+    """Weight-2k part of exp(sum_j q_j power_sum(j)), q = log Q."""
     if Q.coeffs[0] != 1:
         raise BadConstantTerm("a genus series needs constant term 1")
     if Q.order < 2 * k:
         raise OrderMismatch(f"series order {Q.order} below required {2 * k}")
     q = log_coefficients(Q)
-    L = ChernPolynomial.zero("s")
+    L = ChernPolynomial.zero(symbol)
     for j in range(1, 2 * k + 1):
-        coeff = q[j - 1]
-        if not coeff:
-            continue
-        if odd_vanish and j % 2:
-            continue
-        L = L + coeff * ChernPolynomial.variable("s", j)
+        if q[j - 1]:
+            L = L + q[j - 1] * power_sum(j)
     return L.exp_truncated(2 * k).homogeneous(2 * k)
+
+
+def genus_in_power_sums(Q: CharPowerSeries, k: int,
+                        odd_vanish: bool = True) -> ChernPolynomial:
+    """Weight-2k part of exp(sum_j q_j s_j), kept in the s variables."""
+    return _genus(Q, k, "s", lambda j: (
+        ChernPolynomial.zero("s") if odd_vanish and j % 2
+        else ChernPolynomial.variable("s", j)))
 
 
 def genus_polynomial(Q: CharPowerSeries, k: int,
                      odd_vanish: bool = True) -> ChernPolynomial:
     """The real-degree-4k genus polynomial in Chern classes."""
-    if Q.coeffs[0] != 1:
-        raise BadConstantTerm("a genus series needs constant term 1")
-    if Q.order < 2 * k:
-        raise OrderMismatch(f"series order {Q.order} below required {2 * k}")
-    q = log_coefficients(Q)
-    L = ChernPolynomial.zero("c")
-    for j in range(1, 2 * k + 1):
-        coeff = q[j - 1]
-        if not coeff:
-            continue
-        s_j = power_sum_in_chern(j, odd_vanish)
-        if not s_j:
-            continue
-        L = L + coeff * s_j
-    return L.exp_truncated(2 * k).homogeneous(2 * k)
+    return _genus(Q, k, "c", lambda j: power_sum_in_chern(j, odd_vanish))
 
 
 @dataclass(frozen=True)
@@ -495,54 +489,27 @@ def builtin_genera() -> dict[str, Genus]:
 # Pontryagin presentation
 
 
-@lru_cache(maxsize=None)
-def _squared_root_power_sum_in_p(n: int) -> ChernPolynomial:
-    """n-th power sum of squared roots in the p_j (Newton, elementary=p)."""
-    if n < 1:
-        raise ValueError("power sums are indexed from 1")
-    acc = ChernPolynomial.zero("p")
-    for i in range(1, n):
-        acc = acc + (Fraction((-1) ** (i - 1))
-                     * ChernPolynomial.variable("p", i)
-                     * _squared_root_power_sum_in_p(n - i))
-    return acc + Fraction((-1) ** (n - 1) * n) * ChernPolynomial.variable("p", n)
-
-
 def pontryagin_from_chern(k: int) -> dict[int, ChernPolynomial]:
     """p_j for j <= k as Chern polynomials, odd classes set to zero.
 
     p_j is the j-th elementary symmetric function of the squared roots,
     recovered from their power sums s_{2n} by Newton's identities.
     """
-    table: dict[int, ChernPolynomial] = {}
     ps = {n: power_sum_in_chern(2 * n, odd_vanish=True) for n in range(1, k + 1)}
-    e: dict[int, ChernPolynomial] = {0: ChernPolynomial.one("c")}
-    for j in range(1, k + 1):
-        acc = ChernPolynomial.zero("c")
-        for i in range(1, j + 1):
-            acc = acc + Fraction((-1) ** (i - 1)) * e[j - i] * ps[i]
-        e[j] = acc * Fraction(1, j)
-        table[j] = e[j]
-    return table
+    return {j: chern_in_power_sums(j).substitute(ps, "c") for j in range(1, k + 1)}
 
 
 def genus_polynomial_pontryagin(Q: CharPowerSeries, k: int) -> ChernPolynomial:
-    """Degree-4k genus polynomial in the p_j, for an even series Q."""
-    if Q.coeffs[0] != 1:
-        raise BadConstantTerm("a genus series needs constant term 1")
-    if not Q.is_even():
+    """Degree-4k genus polynomial in the p_j, for an even series Q.
+
+    The p_j are the elementary classes of the squared roots, so s_{2n}
+    is their n-th power sum; p_j has weight 2j, so degree 4k is weight 2k.
+    """
+    # a bad constant term is reported by _genus, ahead of evenness
+    if Q.coeffs[0] == 1 and not Q.is_even():
         raise SeriesError("the Pontryagin presentation needs an even series")
-    if Q.order < 2 * k:
-        raise OrderMismatch(f"series order {Q.order} below required {2 * k}")
-    q = log_coefficients(Q)
-    L = ChernPolynomial.zero("p")
-    for n in range(1, k + 1):
-        coeff = q[2 * n - 1]
-        if not coeff:
-            continue
-        L = L + coeff * _squared_root_power_sum_in_p(n)
-    # weight of p_j is 2j, so degree 4k means weight 2k
-    return L.exp_truncated(2 * k).homogeneous(2 * k)
+    # log Q is even too, so only even j carry a nonzero q_j
+    return _genus(Q, k, "p", lambda j: _power_sum(j // 2, "p"))
 
 
 # ---------------------------------------------------------------------------

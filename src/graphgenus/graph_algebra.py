@@ -16,14 +16,14 @@ system (the Jacobi identity), which the oracle tests pin down.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, OrientedGraph, canonical_form, concat, from_cyclic, graph_sort_key,
-    theta, to_cyclic,
+    Graph, GraphParseError, OrientedGraph, _TokenStream, _tokenize,
+    canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
+    parse_graph_block, theta, to_cyclic,
 )
 
 
@@ -463,8 +463,6 @@ def theta_vector() -> GraphVector:
 # ---------------------------------------------------------------------------
 # vector text format
 
-from .graph_core import GraphParseError, _TokenStream, _tokenize, format_graph, parse_graph_block  # noqa: E402
-
 
 def format_vector(v: GraphVector) -> str:
     lines = [f"coeff {c} {format_graph(g)}" for g, c in v.items()]
@@ -490,7 +488,7 @@ def parse_vector(text: str) -> GraphVector:
             raw = stream.next()
             try:
                 coeff = Fraction(raw)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise GraphParseError(f"bad rational {raw!r}", lineno) from None
         elif tok == "sign":
             stream.next()

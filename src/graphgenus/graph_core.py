@@ -98,13 +98,7 @@ class Graph:
         return all(k == 3 for k in self.valences)
 
     def flags_at(self, v: int) -> list[Flag]:
-        out = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append((e, 0))
-            if b == v:
-                out.append((e, 1))
-        return out
+        return _incidence(self)[v]
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, by least vertex."""
@@ -171,23 +165,23 @@ def theta() -> Graph:
 # orientation encodings
 
 
-def _flag_sequences(g: Graph, cyclic: dict[int, tuple[Flag, ...]] | None = None
-                    ) -> tuple[list[Flag], list[Flag]]:
-    edge_seq: list[Flag] = []
-    for e in range(len(g.edges)):
-        edge_seq.append((e, 0))
-        edge_seq.append((e, 1))
-    at: dict[int, list[Flag]] = {v: [] for v in range(g.n)}
+def _incidence(g: Graph) -> list[list[Flag]]:
+    """The flags at every vertex, ascending."""
+    at: list[list[Flag]] = [[] for _ in range(g.n)]
     for e, (a, b) in enumerate(g.edges):
         at[a].append((e, 0))
         at[b].append((e, 1))
-    vertex_seq: list[Flag] = []
-    for v in range(g.n):
-        if cyclic is not None and v in cyclic:
-            vertex_seq.extend(cyclic[v])
-        else:
-            vertex_seq.extend(sorted(at[v]))
-    return edge_seq, vertex_seq
+    return at
+
+
+def _expansion_sign(vertex_seq: list[Flag], directions: Iterable[int]) -> int:
+    """Parity of a vertex expansion against the edge expansion that lists
+    edge e tail first, or head first where directions[e] is -1."""
+    pos: dict[Flag, int] = {}
+    for e, d in enumerate(directions):
+        tail, head = (2 * e, 2 * e + 1) if d == 1 else (2 * e + 1, 2 * e)
+        pos[(e, 0)], pos[(e, 1)] = tail, head
+    return perm_sign([pos[f] for f in vertex_seq])
 
 
 def to_cyclic(g: Graph) -> tuple[dict[int, tuple[Flag, ...]], int]:
@@ -197,17 +191,9 @@ def to_cyclic(g: Graph) -> tuple[dict[int, tuple[Flag, ...]], int]:
     presentation's orientation equals sign times the orientation the
     cyclic data describes.
     """
-    edge_seq, vertex_seq = _flag_sequences(g)
-    pos = {f: i for i, f in enumerate(edge_seq)}
-    sign = perm_sign([pos[f] for f in vertex_seq])
-    cyclic: dict[int, tuple[Flag, ...]] = {}
-    at: dict[int, list[Flag]] = {v: [] for v in range(g.n)}
-    for e, (a, b) in enumerate(g.edges):
-        at[a].append((e, 0))
-        at[b].append((e, 1))
-    for v in range(g.n):
-        if g.valences[v] == 3:
-            cyclic[v] = tuple(sorted(at[v]))
+    at = _incidence(g)
+    sign = _expansion_sign([f for flags in at for f in flags], (1,) * len(g.edges))
+    cyclic = {v: tuple(at[v]) for v in range(g.n) if g.valences[v] == 3}
     return cyclic, sign
 
 
@@ -218,11 +204,11 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
     supplies a flag triple for every trivalent vertex.  Any rotation of
     a triple describes the same orientation.
     """
-    edge_seq, vertex_seq = _flag_sequences(g, cyclic)
-    pos = {f: i for i, f in enumerate(edge_seq)}
-    if sorted(vertex_seq) != sorted(edge_seq):
+    at = _incidence(g)
+    vertex_seq = [f for v in range(g.n) for f in cyclic.get(v, at[v])]
+    if sorted(vertex_seq) != [(e, end) for e in range(len(g.edges)) for end in (0, 1)]:
         raise InvalidOrientation("cyclic data does not list each flag exactly once")
-    return perm_sign([pos[f] for f in vertex_seq])
+    return _expansion_sign(vertex_seq, (1,) * len(g.edges))
 
 
 @dataclass(frozen=True)
@@ -257,21 +243,9 @@ def _raw_sign_of_edge_order(g: Graph, o: EdgeOrderOrientation) -> int:
     if len(o.edge_directions) != len(g.edges) or \
             any(d not in (1, -1) for d in o.edge_directions):
         raise InvalidOrientation("edge_directions must be +-1 per edge")
-    edge_seq: list[Flag] = []
-    for e, d in enumerate(o.edge_directions):
-        pair = [(e, 0), (e, 1)]
-        if d == -1:
-            pair.reverse()
-        edge_seq.extend(pair)
-    at: dict[int, list[Flag]] = {v: [] for v in range(g.n)}
-    for e, (a, b) in enumerate(g.edges):
-        at[a].append((e, 0))
-        at[b].append((e, 1))
-    vertex_seq: list[Flag] = []
-    for v in o.vertex_order:
-        vertex_seq.extend(sorted(at[v]))
-    pos = {f: i for i, f in enumerate(edge_seq)}
-    return perm_sign([pos[f] for f in vertex_seq])
+    at = _incidence(g)
+    vertex_seq = [f for v in o.vertex_order for f in at[v]]
+    return _expansion_sign(vertex_seq, o.edge_directions)
 
 
 def convert_orientation(g: Graph, orientation) -> tuple[object, int]:
@@ -524,10 +498,10 @@ def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, in
     ends = [list(e) for e in g.edges]
     edge_alive = [True] * len(ends)
     vertex_alive = [True] * g.n
+    at = _incidence(g)
     leg_flag: dict[int, Flag] = {}
     for v in g.legs():
-        (flag,) = g.flags_at(v)
-        leg_flag[v] = flag
+        (leg_flag[v],) = at[v]
 
     cyc_work: dict[int, list[Flag]] = {v: list(t) for v, t in cyclic.items()}
 

@@ -17,6 +17,7 @@ report carries a note saying they are not asserted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -37,13 +38,6 @@ class MissingNorm(AnalysisError):
     pass
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 @dataclass(frozen=True)
 class ManifoldData:
     k: int
@@ -58,7 +52,7 @@ class ManifoldData:
         if self.chern.k != self.k:
             raise ValueError(
                 f"Chern data is degree {self.chern.k}, manifold has k={self.k}")
-        if float(self.volume) <= 0:
+        if self.volume.coef <= 0:
             raise ValueError("volume must be positive")
 
 
@@ -88,7 +82,7 @@ def curvature_norm(d: ManifoldData) -> PiScalar:
 
 def b_theta_k(d: ManifoldData) -> Fraction:
     """Coefficient of the k-fold double-edge graph: 48^k k! sqrtAhat[M]."""
-    return Fraction(48 ** d.k * _factorial(d.k)) * sqrt_ahat_number(d)
+    return Fraction(48 ** d.k * math.factorial(d.k)) * sqrt_ahat_number(d)
 
 
 def curvature_norm_via_b(d: ManifoldData) -> PiScalar:
@@ -98,7 +92,7 @@ def curvature_norm_via_b(d: ManifoldData) -> PiScalar:
         raise NonpositiveSqrtAhat(
             f"b coefficient {b} is not positive; the norm identity fails")
     k = d.k
-    radicand = (PiScalar.of(Fraction(b, _factorial(k)) * (4 * k) ** k, k)
+    radicand = (PiScalar.of(Fraction(b, math.factorial(k)) * (4 * k) ** k, k)
                 * d.volume ** (k - 1))
     return radicand.root(k)
 
@@ -122,7 +116,7 @@ def b_theta_via_c(d: ManifoldData) -> PiScalar:
     whenever the scalars stay exact."""
     c = c_theta(d)
     k = d.k
-    return PiScalar.of(_factorial(k)) / PiScalar.of(2 ** k, k) * c ** k * d.volume
+    return PiScalar.of(math.factorial(k)) / PiScalar.of(2 ** k, k) * c ** k * d.volume
 
 
 # ---------------------------------------------------------------------------

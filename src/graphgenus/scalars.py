@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import sys
 
 
 def nth_root_int(value: int, k: int) -> int | None:
@@ -19,11 +20,15 @@ def nth_root_int(value: int, k: int) -> int | None:
         return None
     if value in (0, 1):
         return value
-    root = round(value ** (1.0 / k))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 0 and cand ** k == value:
-            return cand
-    return None
+    # integer Newton from above: 2^ceil(bits/k) >= the root, and each
+    # step decreases until it reaches floor(value^(1/k))
+    root = 1 << -(-value.bit_length() // k)
+    while True:
+        step = ((k - 1) * root + value // root ** (k - 1)) // k
+        if step >= root:
+            break
+        root = step
+    return root if root ** k == value else None
 
 
 def nth_root_fraction(value: Fraction, k: int) -> Fraction | None:
@@ -121,7 +126,19 @@ class PiScalar:
             exact = nth_root_fraction(self.coef, k)
             if exact is not None:
                 return PiScalar(exact, self.pi2 // k)
-        return PiScalar(float(self) ** (1.0 / k), 0)
+        try:
+            value = float(self)
+        except OverflowError:
+            value = math.inf
+        if self.exact and self.coef > 0 and not sys.float_info.min <= value < math.inf:
+            # the radicand is outside the double range but its root may
+            # not be: take the root in logs
+            ln = (math.log(self.coef.numerator) - math.log(self.coef.denominator)
+                  + 2 * self.pi2 * math.log(math.pi)) / k
+            if ln > math.log(sys.float_info.max):
+                raise ValueError(f"root of degree {k} lies beyond the float range")
+            return PiScalar(math.exp(ln), 0)
+        return PiScalar(value ** (1.0 / k), 0)
 
     def __float__(self) -> float:
         return float(self.coef) * math.pi ** (2 * self.pi2)

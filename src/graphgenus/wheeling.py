@@ -18,6 +18,7 @@ normalization, so pairing and gluing stay purely graphical.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,13 +55,6 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
     return {2 * n: series[2 * n] for n in range(1, n_max + 1)}
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _partitions(total: int) -> list[tuple[int, ...]]:
     """Ascending-part partitions of total, sorted."""
     out: list[tuple[int, ...]] = []
@@ -81,7 +75,7 @@ def _partition_coefficient(parts: tuple[int, ...], b: dict[int, Fraction]) -> Fr
     for n in parts:
         coeff *= b[2 * n]
     for _, group in itertools.groupby(parts):
-        coeff /= _factorial(len(tuple(group)))
+        coeff /= math.factorial(len(tuple(group)))
     return coeff
 
 
@@ -227,7 +221,7 @@ def wheel_char_weight(partition) -> tuple[PiScalar, ChernPolynomial]:
             raise BadPartition(f"partition parts must be positive integers: {parts}")
     k = sum(parts)
     m = len(parts)
-    coeff = PiScalar.of(Fraction((-1) ** m, 8 ** k * _factorial(k)), -k)
+    coeff = PiScalar.of(Fraction((-1) ** m, 8 ** k * math.factorial(k)), -k)
     mono = tuple(sorted(2 * n for n in parts))
     return coeff, ChernPolynomial("s", {mono: Fraction(1)})
 
@@ -251,7 +245,7 @@ def bridge_identity(k: int) -> BridgeReport:
     """
     check_bound(k)
     om = omega(k)
-    scale_back = PiScalar.of(8 ** k * _factorial(k), k)
+    scale_back = PiScalar.of(8 ** k * math.factorial(k), k)
     lhs = ChernPolynomial.zero("s")
     for parts, coeff in om.partition_terms:
         if sum(parts) != k:

@@ -116,6 +116,27 @@ def test_nonpositive_volume():
     assert err == "ValueError: volume must be positive\n"
 
 
+@pytest.mark.parametrize("vol", ["1e-400", "1e400"])
+def test_volume_beyond_float_range(vol):
+    code, out, err = run_cli(["analyze", "--k", "1", "--vol", vol, "--c2", "24"])
+    assert (code, err) == (0, "")
+    assert out.startswith("sqrt_ahat 1\n")
+
+
+def test_chern_number_beyond_float_range():
+    code, out, err = run_cli(["analyze", "--k", "2", "--vol", "1",
+                              "--c2sq", "1e400", "--c4", "0"])
+    assert (code, err) == (1, "")
+    assert "verdicts.a1_squared_below_12 fail" in out
+
+
+def test_zero_denominator_coefficient(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("coeff 1/0 graph { vertices 2 ; edge 0 1 ; edge 0 1 ; edge 0 1 ; }\n")
+    code, out, err = run_cli(["reduce", "--k", "1", str(path)])
+    assert (code, out, err) == (2, "", "bad rational '1/0' at line 1\n")
+
+
 def test_unknown_algebra():
     code, _, err = run_cli(["oracle", "--algebra", "e8",
                             str(DATA / "theta_vector.txt")])

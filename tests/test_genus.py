@@ -301,6 +301,45 @@ def test_log_coefficients_recover_series():
 
 
 # ---------------------------------------------------------------------------
+# referee at k = 4..8: sympy series against explicit symmetric roots
+
+SYMPY_SERIES = {
+    "ahat": "(x/2)/sinh(x/2)",
+    "sqrt_ahat": "sqrt((x/2)/sinh(x/2))",
+    "todd": "x/(1 - exp(-x))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPY_SERIES))
+def test_genus_matches_sympy_series_on_roots(name):
+    # prod_i Q(y_i t) Q(-y_i t) has t^{2k} coefficient equal to the genus
+    # evaluated at c_{2i} = e_{2i}(+-y); Todd coincides with A-hat there
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    top = 16
+    expansion = sympy.series(sympy.sympify(SYMPY_SERIES[name], locals={"x": x}),
+                             x, 0, top + 1).removeO()
+    q = [F(int(c.p), int(c.q)) for c in (expansion.coeff(x, n) for n in range(top + 1))]
+    genus = builtin_genera()[name]
+    rng = random.Random(16)
+    for _ in range(3):
+        ys = [F(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(8)]
+        product = [F(1)] + [F(0)] * top
+        for r in ys + [-y for y in ys]:
+            factor = [q[n] * r ** n for n in range(top + 1)]
+            product = [sum(product[i] * factor[n - i] for i in range(n + 1))
+                       for n in range(top + 1)]
+        e = elementary(ys + [-y for y in ys])
+        for k in range(4, 9):
+            values = {}
+            for mono in even_monomials(k):
+                values[mono] = F(1)
+                for i in mono:
+                    values[mono] *= e[i]
+            assert evaluate(genus.polynomial(k), ChernData(k, values)) == product[2 * k]
+
+
+# ---------------------------------------------------------------------------
 # Pontryagin route
 
 

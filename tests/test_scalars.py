@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphgenus.scalars import PiScalar, nth_root_fraction, parse_pi_scalar
+from graphgenus.scalars import PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -19,6 +19,23 @@ def test_nth_root_fraction_exact():
 def test_nth_root_fraction_inexact_is_none():
     assert nth_root_fraction(Fraction(2), 2) is None
     assert nth_root_fraction(Fraction(8, 9), 3) is None
+
+
+def test_nth_root_int_beyond_float_range():
+    # a float first guess misses these roots and overflows above 1e308
+    assert nth_root_int(10 ** 80, 2) == 10 ** 40
+    assert nth_root_int(10 ** 80 + 1, 2) is None
+    assert nth_root_int(7 ** 900, 3) == 7 ** 300
+    assert nth_root_int(7 ** 900 - 1, 3) is None
+
+
+def test_float_root_of_radicand_beyond_float_range():
+    r = PiScalar.of(10 ** 400 * 2).root(2)
+    assert float(r) == pytest.approx(2 ** 0.5 * 1e200)
+    r = PiScalar.of(Fraction(2, 10 ** 400)).root(2)
+    assert float(r) == pytest.approx(2 ** 0.5 * 1e-200)
+    with pytest.raises(ValueError):
+        PiScalar.of(10 ** 1000 * 2).root(2)
 
 
 # ---------------------------------------------------------------------------
