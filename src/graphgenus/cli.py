@@ -19,7 +19,8 @@ from .graph_algebra import (
 )
 from .wheeling import WheelingError, omega, wheeling_check
 from .genus import (
-    ChernData, DegreeMismatch, MissingMonomial, SeriesError, builtin_genera,
+    ChernData, DegreeMismatch, MissingMonomial, SeriesError, _power_product,
+    builtin_genera,
 )
 from .hk_analysis import AnalysisError, ManifoldData, validate
 from .lie_oracle import OracleError, builtin, weight_vector
@@ -103,22 +104,6 @@ def _chern_data(args) -> ChernData:
     return ChernData(args.k, values)
 
 
-def _partition_label(parts: tuple[int, ...]) -> str:
-    if not parts:
-        return "1"
-    factors = []
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        power = j - i
-        name = f"w{2 * parts[i]}"
-        factors.append(name if power == 1 else f"{name}^{power}")
-        i = j
-    return "*".join(factors)
-
-
 def _run(args) -> int:
     out = sys.stdout
     if args.command == "normalize":
@@ -151,12 +136,8 @@ def _run(args) -> int:
         om = omega(args.k)
         for n in sorted(om.b_table):
             out.write(f"b{n} = {om.b_table[n]}\n")
-        terms = []
-        for parts, coeff in om.partition_terms:
-            if not parts:
-                terms.append("1")
-            else:
-                terms.append(f"({coeff}){_partition_label(parts)}")
+        terms = [f"({coeff})" + _power_product(f"w{2 * n}" for n in parts)
+                 if parts else "1" for parts, coeff in om.partition_terms]
         out.write("omega = " + " + ".join(terms) + "\n")
         return 0
 

@@ -19,6 +19,7 @@ weight-k component in the p indices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,9 +95,7 @@ class CharPowerSeries:
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __sub__(self, other: "CharPowerSeries") -> "CharPowerSeries":
-        self._match(other)
-        return CharPowerSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        return self + other * -1
 
     def __mul__(self, other) -> "CharPowerSeries":
         if not isinstance(other, CharPowerSeries):
@@ -349,24 +348,21 @@ class ChernPolynomial:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for mono, coeff in self.items():
-            if not mono:
-                bits.append(str(coeff))
-                continue
-            factors = []
-            run_start = 0
-            for t in range(1, len(mono) + 1):
-                if t == len(mono) or mono[t] != mono[run_start]:
-                    power = t - run_start
-                    name = f"{self.symbol}{mono[run_start]}"
-                    factors.append(name if power == 1 else f"{name}^{power}")
-                    run_start = t
-            bits.append(f"({coeff})" + "*".join(factors))
-        return " + ".join(bits)
+        return " + ".join(
+            f"({coeff})" + _power_product(f"{self.symbol}{i}" for i in mono)
+            if mono else str(coeff) for mono, coeff in self.items())
 
     def __repr__(self):
         return f"ChernPolynomial({self.render()!r})"
+
+
+def _power_product(names: Iterable[str]) -> str:
+    """'s2^2*s4' from the sorted factor names s2, s2, s4."""
+    factors = []
+    for name, run in itertools.groupby(names):
+        power = len(list(run))
+        factors.append(name if power == 1 else f"{name}^{power}")
+    return "*".join(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +414,12 @@ def chern_in_power_sums(i: int) -> ChernPolynomial:
 
 def newton_convert(p: ChernPolynomial) -> ChernPolynomial:
     """Swap between the c and s presentations of a symmetric polynomial."""
-    if p.symbol == "s":
-        top = max((i for m in p.terms for i in m), default=0)
-        table = {j: power_sum_in_chern(j) for j in range(1, top + 1)}
-        return p.substitute(table, "c")
-    if p.symbol == "c":
-        top = max((i for m in p.terms for i in m), default=0)
-        table = {i: chern_in_power_sums(i) for i in range(1, top + 1)}
-        return p.substitute(table, "s")
-    raise ValueError("newton_convert handles the c and s symbols")
+    if p.symbol not in ("c", "s"):
+        raise ValueError("newton_convert handles the c and s symbols")
+    top = max((i for m in p.terms for i in m), default=0)
+    convert, target = ((power_sum_in_chern, "c") if p.symbol == "s"
+                       else (chern_in_power_sums, "s"))
+    return p.substitute({i: convert(i) for i in range(1, top + 1)}, target)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +434,8 @@ def log_coefficients(Q: CharPowerSeries) -> list[Fraction]:
 def _genus(Q: CharPowerSeries, k: int, symbol: str,
            power_sum: Callable[[int], ChernPolynomial]) -> ChernPolynomial:
     """Weight-2k part of exp(sum_j q_j power_sum(j)), q = log Q."""
+    if k < 0:
+        raise DegreeMismatch(f"degree {k} is negative")
     if Q.coeffs[0] != 1:
         raise BadConstantTerm("a genus series needs constant term 1")
     if Q.order < 2 * k:
@@ -473,8 +468,8 @@ class Genus:
     series: Callable[[int], CharPowerSeries]
 
     def polynomial(self, k: int, odd_vanish: bool = True) -> ChernPolynomial:
-        order = max(default_order(), 2 * k)
-        return genus_polynomial(self.series(order), k, odd_vanish)
+        # a negative k builds an order-0 series and _genus rejects it
+        return genus_polynomial(self.series(max(2 * k, 0)), k, odd_vanish)
 
 
 def builtin_genera() -> dict[str, Genus]:

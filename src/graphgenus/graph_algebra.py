@@ -325,19 +325,16 @@ def _ihx_terms_for_edge(g: Graph, t: int) -> list[GraphVector]:
     return terms
 
 
-def _raw_ihx_relations(k: int) -> list[GraphVector]:
-    """Every relation from contracting an edge of a 2k-vertex trivalent
-    graph: the three expansions of the four-valent corner sum to zero.
-    Zero and duplicate relations are dropped."""
-    check_bound(k)
+def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
+    """Every relation from contracting an edge of a trivalent graph of
+    one degree: the three expansions of the four-valent corner sum to
+    zero.  Zero and duplicate relations are dropped."""
     seen: set = set()
     out: list[GraphVector] = []
-    for og in enumerate_trivalent(k):
+    for og in classes:
         g = og.graph
         for t in range(len(g.edges)):
-            total = GraphVector.zero()
-            for term in _ihx_terms_for_edge(g, t):
-                total = total + term
+            total = sum(_ihx_terms_for_edge(g, t), GraphVector.zero())
             if not total:
                 continue
             items = total.items()
@@ -356,17 +353,12 @@ class RelationSet:
     def __init__(self, k: int, relations: Iterable[GraphVector], columns: list[Graph]):
         self.k = k
         self.relations = list(relations)
-        relations = self.relations
         self.columns = list(columns)
         self.col_index = {g: i for i, g in enumerate(self.columns)}
-        rows: list[dict[int, Fraction]] = []
-        for rel in relations:
-            row = {self.col_index[g]: c for g, c in rel.items()}
-            rows.append(row)
         self.rows: list[dict[int, Fraction]] = []
         self.pivots: list[int] = []
-        for row in rows:
-            row = self._eliminate(row)
+        for rel in self.relations:
+            row = self._eliminate({self.col_index[g]: c for g, c in rel.items()})
             if not row:
                 continue
             pivot = min(row)
@@ -424,8 +416,9 @@ def ihx_relations(k: int) -> RelationSet:
     """Relations of degree k, cached, with a deterministic reduced basis."""
     check_bound(k)  # enforced even on cache hits so the knob stays predictable
     if k not in _RELATION_CACHE:
-        columns = [og.graph for og in enumerate_trivalent(k) if og.sign_state != 0]
-        _RELATION_CACHE[k] = RelationSet(k, _raw_ihx_relations(k), columns)
+        classes = enumerate_trivalent(k)
+        columns = [og.graph for og in classes if og.sign_state != 0]
+        _RELATION_CACHE[k] = RelationSet(k, _raw_ihx_relations(classes), columns)
     return _RELATION_CACHE[k]
 
 

@@ -34,7 +34,13 @@ Flag = tuple[int, int]
 
 
 class GraphError(Exception):
-    """Base class for graph construction and orientation errors."""
+    """Base class for graph construction and orientation errors; make_graph
+    names the faulty ``edge`` (an index) or ``vertex`` for the parser."""
+
+    def __init__(self, message: str = "", edge: Optional[int] = None,
+                 vertex: Optional[int] = None):
+        super().__init__(message)
+        self.edge, self.vertex = edge, vertex
 
 
 class SelfLoop(GraphError):
@@ -123,27 +129,28 @@ class Graph:
 def make_graph(vertex_count: int,
                valences: Iterable[int],
                edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Validated constructor for a unitrivalent presentation."""
+    """Validated constructor for a unitrivalent presentation: edges first
+    (index range, self-loop), then vertices (valence 1 or 3, incidences)."""
     valences = tuple(valences)
     edges = tuple((int(a), int(b)) for a, b in edge_list)
     if vertex_count != len(valences):
         raise ValenceMismatch(
             f"vertex count {vertex_count} != {len(valences)} valence entries")
-    for v, k in enumerate(valences):
-        if k not in (1, 3):
-            raise ValenceMismatch(f"vertex {v} has valence {k}, expected 1 or 3")
     counts = [0] * vertex_count
-    for a, b in edges:
+    for e, (a, b) in enumerate(edges):
         if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise BadIndex(f"edge ({a}, {b}) references a missing vertex")
+            raise BadIndex(f"edge ({a}, {b}) references a missing vertex", edge=e)
         if a == b:
-            raise SelfLoop(f"edge ({a}, {b}) is a self-loop")
+            raise SelfLoop(f"edge ({a}, {b}) is a self-loop", edge=e)
         counts[a] += 1
         counts[b] += 1
     for v, k in enumerate(valences):
+        if k not in (1, 3):
+            raise ValenceMismatch(f"vertex {v} has valence {k}, expected 1 or 3",
+                                  vertex=v)
         if counts[v] != k:
             raise ValenceMismatch(
-                f"vertex {v} declared valence {k} but has {counts[v]} incidences")
+                f"vertex {v} has valence {k} but {counts[v]} incidences", vertex=v)
     return Graph(valences, edges)
 
 
@@ -603,11 +610,18 @@ class _TokenStream:
 
 
 def parse_graph_block(stream: _TokenStream) -> Graph:
+    """Read one ``graph { ... }`` block and build it through make_graph.
+
+    Checked here, before anything is allocated: the vertex count lies in
+    0..2E for E edges (every vertex needs an edge end), and valence lines
+    name existing vertices.  make_graph's errors come back at the line of
+    the offending statement."""
     start_line = stream.line()
     stream.next("graph")
     stream.next("{")
     vertex_count: int | None = None
-    declared: dict[int, int] = {}
+    count_line = start_line
+    declared: dict[int, tuple[int, int]] = {}  # vertex -> (valence, line)
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []
     while True:
@@ -621,10 +635,10 @@ def parse_graph_block(stream: _TokenStream) -> Graph:
         word = stream.next()
         if word == "vertices":
             vertex_count = stream.next_int()
+            count_line = lineno
         elif word == "valence":
             v = stream.next_int()
-            k = stream.next_int()
-            declared[v] = k
+            declared[v] = (stream.next_int(), lineno)
         elif word == "edge":
             a = stream.next_int()
             b = stream.next_int()
@@ -635,27 +649,24 @@ def parse_graph_block(stream: _TokenStream) -> Graph:
         stream.next(";")
     if vertex_count is None:
         raise GraphParseError("graph block must declare vertices", start_line)
-    counts = [0] * vertex_count
-    for (a, b), lineno in zip(edges, edge_lines):
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise GraphParseError("BadIndex", lineno)
-        if a == b:
-            raise GraphParseError("SelfLoop", lineno)
-        counts[a] += 1
-        counts[b] += 1
-    valences = []
-    for v in range(vertex_count):
-        if v in declared:
-            if declared[v] not in (1, 3) or counts[v] != declared[v]:
-                raise GraphParseError(f"ValenceMismatch for vertex {v}", start_line)
-            valences.append(declared[v])
-        elif counts[v] == 3:
-            valences.append(3)
-        else:
-            raise GraphParseError(
-                f"vertex {v} has {counts[v]} incidences; valence 1 must be declared",
-                start_line)
-    return Graph(tuple(valences), tuple(edges))
+    if not 0 <= vertex_count <= 2 * len(edges):
+        raise GraphParseError(f"vertex count {vertex_count} outside "
+                              f"0..{2 * len(edges)} (two ends per edge)", count_line)
+    for v, (_, lineno) in declared.items():
+        if not 0 <= v < vertex_count:
+            raise GraphParseError(f"valence names missing vertex {v}", lineno)
+    # undeclared vertices are trivalent
+    valences = [declared[v][0] if v in declared else 3 for v in range(vertex_count)]
+    try:
+        return make_graph(vertex_count, valences, edges)
+    except GraphError as exc:
+        name = type(exc).__name__
+        if exc.edge is not None:
+            raise GraphParseError(name, edge_lines[exc.edge]) from None
+        if exc.vertex in declared:
+            raise GraphParseError(f"{name}: {exc}", declared[exc.vertex][1]) from None
+        raise GraphParseError(f"{name}: {exc}; undeclared vertices are trivalent, "
+                              "so valence 1 must be declared", start_line) from None
 
 
 def parse_graph(text: str) -> Graph:

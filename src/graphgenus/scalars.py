@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 import sys
 
 
@@ -40,6 +41,14 @@ def nth_root_fraction(value: Fraction, k: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+def _mixed(op, a: Fraction | float, b: Fraction | float) -> Fraction | float:
+    """op(a, b); a float with a Fraction is computed on exact Fractions and
+    rounded once, so no exact operand is rounded out of the double range."""
+    if isinstance(a, float) == isinstance(b, float):
+        return op(a, b)
+    return float(op(Fraction(a), Fraction(b)))
 
 
 @dataclass(frozen=True)
@@ -90,14 +99,16 @@ class PiScalar:
 
     def __mul__(self, other) -> "PiScalar":
         other = self._coerce(other)
-        return PiScalar(self.coef * other.coef, self.pi2 + other.pi2)
+        return PiScalar(_mixed(operator.mul, self.coef, other.coef),
+                        self.pi2 + other.pi2)
 
     def __rmul__(self, other) -> "PiScalar":
         return self.__mul__(other)
 
     def __truediv__(self, other) -> "PiScalar":
         other = self._coerce(other)
-        return PiScalar(self.coef / other.coef, self.pi2 - other.pi2)
+        return PiScalar(_mixed(operator.truediv, self.coef, other.coef),
+                        self.pi2 - other.pi2)
 
     def __pow__(self, k: int) -> "PiScalar":
         if not isinstance(k, int) or k < 0:

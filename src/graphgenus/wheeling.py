@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import PiScalar
-from .graph_core import Graph, concat, line, theta, weld_all, wheel
+from .graph_core import Graph, concat, line, weld_all, wheel
 from .graph_algebra import (
-    GraphVector, RelationSet, check_bound, ihx_relations, power, product,
-    reduce as ihx_reduce, theta_vector, trivalent_part,
+    GraphVector, check_bound, ihx_relations, power, reduce as ihx_reduce,
+    theta_vector,
 )
 from .genus import (
-    ChernPolynomial, genus_in_power_sums, sinh_half_over_half,
-    sqrt_ahat_series, default_order,
+    ChernPolynomial, even_monomials, genus_in_power_sums, sinh_half_over_half,
+    sqrt_ahat_series,
 )
 
 
@@ -53,21 +53,6 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
     order = 2 * n_max
     series = sinh_half_over_half(order).log() * Fraction(1, 2)
     return {2 * n: series[2 * n] for n in range(1, n_max + 1)}
-
-
-def _partitions(total: int) -> list[tuple[int, ...]]:
-    """Ascending-part partitions of total, sorted."""
-    out: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int], smallest: int, left: int):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(smallest, left + 1):
-            build(prefix + [part], part, left - part)
-
-    build([], 1, total)
-    return sorted(out)
 
 
 def _partition_coefficient(parts: tuple[int, ...], b: dict[int, Fraction]) -> Fraction:
@@ -96,7 +81,8 @@ def omega(k: int) -> OmegaTruncation:
     vec = GraphVector.unit()
     terms: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
     for weight in range(1, k + 1):
-        for parts in _partitions(weight):
+        for mono in even_monomials(weight):
+            parts = tuple(n // 2 for n in mono)
             coeff = _partition_coefficient(parts, b)
             g = Graph((), ())
             for n in parts:
@@ -193,9 +179,17 @@ class WheelingReport:
 
 def wheeling_check(k: int) -> WheelingReport:
     """Compare the trivalent part of gluing omega into k lines with the
-    k-th power of (1/24) theta; for k >= 2 the comparison is modulo IHX."""
+    k-th power of (1/24) theta; for k >= 2 the comparison is modulo IHX.
+
+    Terms of weight below k leave line legs open, so only the weight-k
+    part glues to a trivalent graph, and every matching of its spokes
+    arises from 2^k k! gluings (order of the lines, ends of each line):
+    the glued side is 2^k k! times pair_spokes of that part.
+    """
     check_bound(k)
-    lhs = trivalent_part(glue_hat(omega(k).vector, line_power(k)))
+    spokes = GraphVector({g: c for g, c in omega(k).vector.items()
+                          if len(g.legs()) == 2 * k})
+    lhs = pair_spokes(spokes) * (2 ** k * math.factorial(k))
     rhs = power(theta_vector() * Fraction(1, 24), k)
     diff = lhs - rhs
     exact = not diff
@@ -255,6 +249,5 @@ def bridge_identity(k: int) -> BridgeReport:
         if folded.pi2 != 0:
             raise WheelingError("normalization did not cancel the pi grade")
         lhs = lhs + coeff * Fraction(folded.coef) * w_poly
-    order = max(default_order(), 2 * k)
-    rhs = genus_in_power_sums(sqrt_ahat_series(order), k)
+    rhs = genus_in_power_sums(sqrt_ahat_series(2 * k), k)
     return BridgeReport(k, lhs, rhs, lhs == rhs)

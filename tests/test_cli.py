@@ -123,6 +123,17 @@ def test_volume_beyond_float_range(vol):
     assert out.startswith("sqrt_ahat 1\n")
 
 
+@pytest.mark.parametrize("vol, c_theta", [("1e-400", "8.37463703957e+202"),
+                                           ("1e400", "8.37463703957e-198")])
+def test_inexact_norm_over_volume_beyond_float_range(vol, c_theta):
+    # at k = 2 the norm is a float root; dividing it by an exact volume
+    # outside the double range must not round the volume to 0 or inf
+    code, out, err = run_cli(["analyze", "--k", "2", "--vol", vol,
+                              "--c2sq", "828", "--c4", "324"])
+    assert (code, err) == (0, "")
+    assert f"c_theta {c_theta}" in out.splitlines()
+
+
 def test_chern_number_beyond_float_range():
     code, out, err = run_cli(["analyze", "--k", "2", "--vol", "1",
                               "--c2sq", "1e400", "--c4", "0"])
@@ -135,6 +146,26 @@ def test_zero_denominator_coefficient(tmp_path):
     path.write_text("coeff 1/0 graph { vertices 2 ; edge 0 1 ; edge 0 1 ; edge 0 1 ; }\n")
     code, out, err = run_cli(["reduce", "--k", "1", str(path)])
     assert (code, out, err) == (2, "", "bad rational '1/0' at line 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("graph { vertices -1 ; }",
+     "vertex count -1 outside 0..0 (two ends per edge) at line 1"),
+    ("graph {\n vertices 99999999999 ;\n edge 0 1 ; }",
+     "vertex count 99999999999 outside 0..2 (two ends per edge) at line 2"),
+    ("graph { vertices 2 ;\n valence 0 1 ; valence 1 1 ;\n valence 7 3 ;\n edge 0 1 ; }",
+     "valence names missing vertex 7 at line 3"),
+])
+def test_graph_file_defects_exit_2(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(["normalize", str(path)])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_negative_genus_degree():
+    code, out, err = run_cli(["genus", "--series", "ahat", "--k", "-1"])
+    assert (code, out, err) == (2, "", "DegreeMismatch: degree -1 is negative\n")
 
 
 def test_unknown_algebra():

@@ -436,6 +436,29 @@ def test_parse_valence_mismatch():
     assert "ValenceMismatch" in str(info.value)
 
 
+def test_make_graph_names_the_fault():
+    with pytest.raises(SelfLoop) as info:
+        make_graph(3, (3, 1, 1), [(0, 1), (0, 0), (0, 2), (1, 9)])
+    assert (info.value.edge, info.value.vertex) == (1, None)
+    with pytest.raises(ValenceMismatch) as info:
+        make_graph(2, (1, 3), [(0, 1)])
+    assert (info.value.edge, info.value.vertex) == (None, 1)
+
+
+def test_parse_declared_valence_mismatch_reports_its_line():
+    with pytest.raises(GraphParseError) as info:
+        parse_graph("graph { vertices 2 ;\n valence 0 1 ;\n valence 1 3 ;\n edge 0 1 ; }")
+    assert info.value.lineno == 3
+    assert str(info.value).startswith("ValenceMismatch: vertex 1 ")
+
+
+def test_parse_vertex_count_bounded_by_edge_ends():
+    assert parse_graph("graph { vertices 0 ; }") == empty_graph()
+    for count in (-1, 3):
+        with pytest.raises(GraphParseError, match="outside 0..2"):
+            parse_graph(f"graph {{ vertices {count} ; edge 0 1 ; }}")
+
+
 def test_parse_structural_errors():
     with pytest.raises(GraphParseError):
         parse_graph("graph { edge 0 1 ; }")  # no vertices statement
