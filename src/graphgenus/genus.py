@@ -23,15 +23,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Iterable, Mapping, Optional
 
-from .graph_algebra import degree_bound
+from .graph_algebra import DegreeMismatch, degree_bound
 
 Monomial = tuple[int, ...]
 
 
-class SeriesError(Exception):
+class SeriesError(ValueError):
     pass
 
 
@@ -43,11 +43,7 @@ class OrderMismatch(SeriesError):
     pass
 
 
-class DegreeMismatch(Exception):
-    pass
-
-
-class MissingMonomial(Exception):
+class MissingMonomial(ValueError):
     pass
 
 
@@ -369,7 +365,7 @@ def _power_product(names: Iterable[str]) -> str:
 # Newton's identities
 
 
-@lru_cache(maxsize=None)
+@cache
 def _power_sum(j: int, symbol: str) -> ChernPolynomial:
     """j-th power sum of the roots whose elementary classes are symbol_i.
 
@@ -398,7 +394,7 @@ def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
         m: c for m, c in s_j.terms.items() if all(i % 2 == 0 for i in m)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def chern_in_power_sums(i: int) -> ChernPolynomial:
     """c_i as a polynomial in s_1..s_i (Newton, inverted):
     c_i = (1/i) sum_{m=1..i} (-1)^{m-1} c_{i-m} s_m."""
@@ -467,6 +463,7 @@ class Genus:
     name: str
     series: Callable[[int], CharPowerSeries]
 
+    @cache
     def polynomial(self, k: int, odd_vanish: bool = True) -> ChernPolynomial:
         # a negative k builds an order-0 series and _genus rejects it
         return genus_polynomial(self.series(max(2 * k, 0)), k, odd_vanish)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional
 
 from .graph_core import (
@@ -25,9 +26,10 @@ from .graph_core import (
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
     parse_graph_block, theta, to_cyclic,
 )
+from .scalars import parse_rational
 
 
-class AlgebraError(Exception):
+class AlgebraError(ValueError):
     pass
 
 
@@ -409,17 +411,17 @@ def _row_sub(row: dict[int, Fraction], other: dict[int, Fraction],
     return out
 
 
-_RELATION_CACHE: dict[int, RelationSet] = {}
-
-
 def ihx_relations(k: int) -> RelationSet:
     """Relations of degree k, cached, with a deterministic reduced basis."""
     check_bound(k)  # enforced even on cache hits so the knob stays predictable
-    if k not in _RELATION_CACHE:
-        classes = enumerate_trivalent(k)
-        columns = [og.graph for og in classes if og.sign_state != 0]
-        _RELATION_CACHE[k] = RelationSet(k, _raw_ihx_relations(classes), columns)
-    return _RELATION_CACHE[k]
+    return _relation_set(k)
+
+
+@cache
+def _relation_set(k: int) -> RelationSet:
+    classes = enumerate_trivalent(k)
+    columns = [og.graph for og in classes if og.sign_state != 0]
+    return RelationSet(k, _raw_ihx_relations(classes), columns)
 
 
 def reduce(v: GraphVector, relations: RelationSet | None = None) -> GraphVector:
@@ -480,8 +482,8 @@ def parse_vector(text: str) -> GraphVector:
             lineno = stream.line()
             raw = stream.next()
             try:
-                coeff = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
+                coeff = parse_rational(raw)
+            except ValueError:
                 raise GraphParseError(f"bad rational {raw!r}", lineno) from None
         elif tok == "sign":
             stream.next()
@@ -489,7 +491,7 @@ def parse_vector(text: str) -> GraphVector:
             raw = stream.next()
             if raw not in ("+1", "-1", "0", "1"):
                 raise GraphParseError(f"bad sign {raw!r}", lineno)
-            coeff = Fraction(raw.lstrip("+"))
+            coeff = parse_rational(raw)
         g = parse_graph_block(stream)
         if g.n == 0 and coeff == 0:
             continue

@@ -28,12 +28,13 @@ one report it so callers can drop the term as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional
 
 Flag = tuple[int, int]
 
 
-class GraphError(Exception):
+class GraphError(ValueError):
     """Base class for graph construction and orientation errors; make_graph
     names the faulty ``edge`` (an index) or ``vertex`` for the parser."""
 
@@ -305,9 +306,7 @@ class OrientedGraph:
     sign_state: int
 
 
-_CANON_CACHE: dict[Graph, OrientedGraph] = {}
-
-
+@cache
 def canonical_form(g: Graph) -> OrientedGraph:
     """Least relabeled presentation, with the relating sign.
 
@@ -318,10 +317,6 @@ def canonical_form(g: Graph) -> OrientedGraph:
     attains the least key contributes its sign, and seeing both signs
     means the class is zero.
     """
-    cached = _CANON_CACHE.get(g)
-    if cached is not None:
-        return cached
-
     n = g.n
     base_sign = 1
     norm_edges = []
@@ -330,11 +325,6 @@ def canonical_form(g: Graph) -> OrientedGraph:
             a, b = b, a
             base_sign = -base_sign
         norm_edges.append((a, b))
-
-    if n == 0:
-        result = OrientedGraph(Graph((), ()), base_sign)
-        _CANON_CACHE[g] = result
-        return result
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for a, b in norm_edges:
@@ -421,9 +411,7 @@ def canonical_form(g: Graph) -> OrientedGraph:
         sign_state = 0
     else:
         sign_state = base_sign * best_signs.pop()
-    result = OrientedGraph(canon, sign_state)
-    _CANON_CACHE[g] = result
-    return result
+    return OrientedGraph(canon, sign_state)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> Optional[int]:

@@ -18,7 +18,7 @@ report carries a note saying they are not asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +26,7 @@ from .scalars import PiScalar
 from .genus import ChernData, builtin_genera, evaluate
 
 
-class AnalysisError(Exception):
+class AnalysisError(ValueError):
     pass
 
 
@@ -47,23 +47,22 @@ class ManifoldData:
     irreducible: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        # ChernData refuses k < 1, so this also refuses a k below 1
         if self.chern.k != self.k:
             raise ValueError(
                 f"Chern data is degree {self.chern.k}, manifold has k={self.k}")
         if self.volume.coef <= 0:
             raise ValueError("volume must be positive")
+        if self.norm_R_sq is not None and self.norm_R_sq.coef < 0:
+            raise ValueError("curvature norm must not be negative")
 
 
 def sqrt_ahat_number(d: ManifoldData) -> Fraction:
-    poly = builtin_genera()["sqrt_ahat"].polynomial(d.k)
-    return evaluate(poly, d.chern)
+    return evaluate(builtin_genera()["sqrt_ahat"].polynomial(d.k), d.chern)
 
 
 def ahat_number(d: ManifoldData) -> Fraction:
-    poly = builtin_genera()["ahat"].polynomial(d.k)
-    return evaluate(poly, d.chern)
+    return evaluate(builtin_genera()["ahat"].polynomial(d.k), d.chern)
 
 
 def euler_number(d: ManifoldData) -> Fraction:
@@ -152,18 +151,9 @@ class AnalysisReport:
         def scalar(x):
             if x is None:
                 return "none"
-            if isinstance(x, PiScalar):
-                return x.render(use_float)
-            return f"{float(x):.12g}" if use_float else str(x)
+            return (x if isinstance(x, PiScalar) else PiScalar.of(x)).render(use_float)
 
-        lines = [
-            f"sqrt_ahat {scalar(self.sqrt_ahat)}",
-            f"ahat {scalar(self.ahat)}",
-            f"euler {scalar(self.euler)}",
-            f"b_theta_k {scalar(self.b_theta_k)}",
-            f"c_theta {scalar(self.c_theta)}",
-            f"norm_R_sq {scalar(self.norm_R_sq)}",
-        ]
+        lines = [f"{key} {scalar(getattr(self, key))}" for key in REPORT_KEYS]
         lines += [f"verdicts.{key} {value}" for key, value in self.verdicts]
         lines += [f"note {note}" for note in self.notes]
         return "\n".join(lines)
@@ -186,9 +176,7 @@ def validate(d: ManifoldData) -> AnalysisReport:
     norm: Optional[PiScalar] = d.norm_R_sq
     if norm is None and sqrt_a > 0:
         norm = curvature_norm(d)
-    c: Optional[PiScalar] = None
-    if norm is not None:
-        c = norm / (PiScalar.of(2 * d.k) * d.volume)
+    c = None if norm is None else c_theta(replace(d, norm_R_sq=norm))
 
     if d.k == 2:
         # the two forms of the same constraint, computed independently

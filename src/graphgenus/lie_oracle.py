@@ -12,14 +12,14 @@ is the strongest internal consistency check the package has.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Union
 
 from .graph_core import Graph, OrientedGraph, to_cyclic
 from .graph_algebra import GraphVector
 
 
-class OracleError(Exception):
+class OracleError(ValueError):
     pass
 
 
@@ -185,7 +185,7 @@ def gl(N: int) -> MetricLieAlgebra:
     return MetricLieAlgebra(f"gl({N})", table, form)
 
 
-@lru_cache(maxsize=None)
+@cache
 def builtin(name: str) -> MetricLieAlgebra:
     """abelian(d), sl2, gl(N); accepts gl2 / gl(2) spellings."""
     flat = name.strip().lower().replace(" ", "")

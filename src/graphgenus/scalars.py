@@ -5,6 +5,9 @@ pi^2, so they are kept symbolic: a value is ``coef * (pi^2)**pi2``.
 The coefficient stays a Fraction as long as every operation is exact;
 a root that does not exist in the rationals degrades the coefficient
 to a float (double precision, relative error a few ulps).
+Typed text enters only through ``parse_rational`` and doubles leave
+only through ``to_float``, which refuses to round a nonzero value to 0
+or +-inf.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from fractions import Fraction
 import math
 import operator
 import sys
+from typing import Callable
 
 
 def nth_root_int(value: int, k: int) -> int | None:
@@ -43,12 +47,40 @@ def nth_root_fraction(value: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Typed text as an exact rational: '7/3', '-2', '1.5e-400'; '1/0',
+    'nan' and 'inf' are a ValueError like any other malformed literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def to_float(value: Fraction | float,
+             convert: Callable[[Fraction | float], float] = float) -> float:
+    """convert(value) as a double (convert rounds: float() by default, a
+    pi power or a root in logs for PiScalar); a nonzero value whose
+    double comes out 0 or +-inf is a ValueError, never a silent 0 or inf."""
+    try:
+        out = convert(value)
+    except OverflowError:
+        out = math.inf
+    if value and (out == 0 or math.isinf(out)):
+        side = "above" if out else "below"
+        raise ValueError(f"a nonzero value lies {side} the double range")
+    return out
+
+
 def _mixed(op, a: Fraction | float, b: Fraction | float) -> Fraction | float:
     """op(a, b); a float with a Fraction is computed on exact Fractions and
     rounded once, so no exact operand is rounded out of the double range."""
     if isinstance(a, float) == isinstance(b, float):
         return op(a, b)
-    return float(op(Fraction(a), Fraction(b)))
+    return to_float(op(Fraction(a), Fraction(b)))
+
+
+# natural logs of the least normal and the greatest double
+_LN_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -130,29 +162,26 @@ class PiScalar:
         return hash((self.coef, self.pi2))
 
     def root(self, k: int) -> "PiScalar":
-        """k-th root; exact when the grade divides and the coef has one."""
+        """k-th root; exact when the grade divides and the coef has one,
+        else a double."""
         if k == 1:
             return self
         if self.exact and self.pi2 % k == 0:
             exact = nth_root_fraction(self.coef, k)
             if exact is not None:
                 return PiScalar(exact, self.pi2 // k)
-        try:
-            value = float(self)
-        except OverflowError:
-            value = math.inf
-        if self.exact and self.coef > 0 and not sys.float_info.min <= value < math.inf:
-            # the radicand is outside the double range but its root may
-            # not be: take the root in logs
-            ln = (math.log(self.coef.numerator) - math.log(self.coef.denominator)
-                  + 2 * self.pi2 * math.log(math.pi)) / k
-            if ln > math.log(sys.float_info.max):
-                raise ValueError(f"root of degree {k} lies beyond the float range")
-            return PiScalar(math.exp(ln), 0)
-        return PiScalar(value ** (1.0 / k), 0)
+        if self.coef > 0:
+            coef = Fraction(self.coef)
+            ln = (math.log(coef.numerator) - math.log(coef.denominator)
+                  + 2 * self.pi2 * math.log(math.pi))
+            if not _LN_NORMAL[0] <= ln <= _LN_NORMAL[1]:
+                # the radicand's double is 0, subnormal or inf, but its
+                # root may be a normal double: take the root in logs
+                return PiScalar(to_float(coef, lambda _: math.exp(ln / k)), 0)
+        return PiScalar(float(self) ** (1.0 / k), 0)
 
     def __float__(self) -> float:
-        return float(self.coef) * math.pi ** (2 * self.pi2)
+        return to_float(self.coef, lambda c: float(c) * math.pi ** (2 * self.pi2))
 
     def render(self, use_float: bool = False) -> str:
         """Deterministic text form: '48', '192*pi^2', '-1/5760*pi^4'."""
@@ -174,5 +203,5 @@ def parse_pi_scalar(text: str) -> PiScalar:
         power = int(tail[3:])
         if power % 2 != 0:
             raise ValueError("only even powers of pi are representable")
-        return PiScalar(Fraction(head), power // 2)
-    return PiScalar(Fraction(text), 0)
+        return PiScalar(parse_rational(head), power // 2)
+    return PiScalar(parse_rational(text), 0)

@@ -34,7 +34,7 @@ from .genus import (
 )
 
 
-class WheelingError(Exception):
+class WheelingError(ValueError):
     pass
 
 

@@ -1,9 +1,12 @@
 """End-to-end command line tests pinned to golden output files."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+import graphgenus
+from graphgenus import genus, graph_algebra
 from conftest import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -139,6 +142,46 @@ def test_chern_number_beyond_float_range():
                               "--c2sq", "1e400", "--c4", "0"])
     assert (code, err) == (1, "")
     assert "verdicts.a1_squared_below_12 fail" in out
+
+
+K1_REPORT = ["analyze", "--k", "1", "--vol", "1", "--c2", "24"]
+DEGREE2 = ["--c2sq", "828", "--c4", "324"]
+DEGREE3 = ["--c2cube", "30208", "--c2c4", "6784", "--c6", "1548"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a zero denominator in any typed number
+    ["analyze", "--k", "1", "--vol", "1/0", "--c2", "24"],
+    ["analyze", "--k", "1", "--vol", "1", "--c2", "1/0"],
+    K1_REPORT + ["--normRsq", "1/0"],
+    # a negative measured norm
+    K1_REPORT + ["--normRsq", "-5"],
+    # exact values whose double would be 0 or inf
+    ["analyze", "--k", "1", "--vol", "1e-400", "--c2", "24", "--float"],
+    ["analyze", "--k", "1", "--vol", "1e400", "--c2", "24", "--float"],
+    ["analyze", "--k", "2", "--vol", "1", "--c2sq", "1e400", "--c4", "0", "--float"],
+    ["analyze", "--k", "2", "--vol", "1", "--normRsq", "1e500"] + DEGREE2 + ["--float"],
+    ["analyze", "--k", "3", "--vol", "1e-400", "--normRsq", "5"] + DEGREE3 + ["--float"],
+    # a norm (a float root) outside the double range, or a product with it
+    ["analyze", "--k", "2", "--vol", "1e-620"] + DEGREE2,
+    ["analyze", "--k", "2", "--vol", "1e-700"] + DEGREE2,
+], ids=" ".join)
+def test_values_beyond_the_exact_boundary_exit_2(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"ValueError: [^\n]+\n", err)
+
+
+def test_every_exported_exception_is_a_value_error():
+    # cli.main turns ValueError into exit 2, so this is the whole contract
+    exported = [obj for obj in vars(graphgenus).values()
+                if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(exported) > 20
+    assert all(issubclass(cls, ValueError) for cls in exported)
+
+
+def test_one_degree_mismatch_class():
+    assert genus.DegreeMismatch is graph_algebra.DegreeMismatch
 
 
 def test_zero_denominator_coefficient(tmp_path):

@@ -227,6 +227,15 @@ def test_canonical_of_empty():
     assert og.graph == empty_graph() and og.sign_state == 1
 
 
+def test_canonical_cache_reports_size_and_clears():
+    canonical_form.cache_clear()
+    assert canonical_form.cache_info().currsize == 0
+    first = canonical_form(K4)
+    assert canonical_form(K4) is first
+    info = canonical_form.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # randomized sign laws
 

@@ -217,6 +217,8 @@ def test_manifold_data_validation():
                      volume=PiScalar.of(1))
     with pytest.raises(ValueError):
         k1_data(24, vol=-3)
+    with pytest.raises(ValueError):
+        k1_data(24, norm_R_sq=PiScalar.of(-5))
 
 
 def test_reducible_input_is_noted_not_asserted():

@@ -1,7 +1,10 @@
-"""Property tests: GraphVector linearity and canonical-form invariance."""
+"""Property tests: GraphVector linearity, canonical-form invariance and
+the CLI's error contract."""
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from graphgenus.cli import CHERN_FLAGS, main as cli_main
 from graphgenus.graph_algebra import GraphVector, add, scale
 from graphgenus.graph_core import canonical_form
 from conftest import random_unitrivalent, represent
@@ -60,3 +64,43 @@ def test_insertion_is_linear_in_the_presentation_sign(rng, c):
     assert GraphVector.from_graph(h, c) == GraphVector.from_graph(g, c * pred)
     assert GraphVector.from_graph(h, c).coefficient(g) == \
         (c * pred if canonical_form(g).sign_state else F(0))
+
+
+# ---------------------------------------------------------------------------
+# error contract: exit 0, 1 or 2 and never a traceback, whatever the scalars
+
+ints = st.integers(-10 ** 6, 10 ** 6)
+literals = st.one_of(
+    st.builds("{}/{}".format, ints, st.integers(0, 1000)),
+    st.builds("{}/{}*pi^{}".format, ints, st.integers(1, 1000),
+              st.integers(-6, 6).map(lambda m: 2 * m)),
+    st.builds("{}e{}".format, ints, st.integers(-800, 800)),
+)
+# K3 and its Hilbert schemes pass every verdict, so exit 0 is reachable
+HILBERT_CHERN = {1: ("24",), 2: ("828", "324"), 3: ("36800", "14720", "3200")}
+
+
+@st.composite
+def analyze_argv(draw):
+    k = draw(st.integers(1, 3))
+    argv = ["analyze", f"--k={k}", f"--vol={draw(literals)}"]
+    known = draw(st.booleans())
+    for (name, _), value in zip(CHERN_FLAGS[k], HILBERT_CHERN[k]):
+        argv.append(f"--{name}={value if known else draw(literals)}")
+    if draw(st.booleans()):
+        argv.append(f"--normRsq={draw(literals)}")
+    if draw(st.booleans()):
+        argv.append("--float")
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(analyze_argv())
+def test_analyze_exits_0_1_or_2_and_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from graphgenus.scalars import PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar
+from graphgenus.scalars import (
+    PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar, parse_rational,
+    to_float,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +39,59 @@ def test_float_root_of_radicand_beyond_float_range():
     assert float(r) == pytest.approx(2 ** 0.5 * 1e-200)
     with pytest.raises(ValueError):
         PiScalar.of(10 ** 1000 * 2).root(2)
+    with pytest.raises(ValueError):  # the root underflows
+        PiScalar.of(Fraction(2, 10 ** 700)).root(2)
+    # a subnormal radicand still has a full-precision root
+    assert float(PiScalar.of(Fraction(2, 10 ** 320)).root(2)) == \
+        pytest.approx(2 ** 0.5 * 1e-160, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the exact boundary: typed text in, doubles out
+
+
+def test_parse_rational_reads_exact_literals():
+    assert parse_rational("7/3") == Fraction(7, 3)
+    assert parse_rational(" -2 ") == -2
+    assert parse_rational("1.5e-400") == Fraction(3, 2 * 10 ** 400)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "nan", "inf", "-inf", "banana", ""])
+def test_parse_rational_rejects_with_value_error(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(-7, 2),
+                                   Fraction(10 ** 308), Fraction(1, 10 ** 308),
+                                   Fraction(5, 10 ** 324), 2.5, 0.0])
+def test_to_float_equals_float_in_range(value):
+    assert to_float(value) == float(value)
+
+
+@pytest.mark.parametrize("value", [Fraction(10 ** 309), Fraction(-(10 ** 400)),
+                                   Fraction(1, 10 ** 400), Fraction(-1, 10 ** 330)])
+def test_to_float_refuses_overflow_and_underflow(value):
+    with pytest.raises(ValueError):
+        to_float(value)
+
+
+def test_pi_scalar_float_is_guarded():
+    assert float(PiScalar.of(Fraction(1, 2), 1)) == 0.5 * 3.141592653589793 ** 2
+    for bad in (PiScalar.of(10 ** 400), PiScalar.of(Fraction(1, 10 ** 400)),
+                PiScalar.of(1, 400), PiScalar.of(1, -400)):
+        with pytest.raises(ValueError):
+            float(bad)
+        with pytest.raises(ValueError):
+            bad.render(use_float=True)
+
+
+def test_mixed_product_is_guarded():
+    with pytest.raises(ValueError):
+        PiScalar(2.0) * PiScalar.of(10 ** 400)
+    with pytest.raises(ValueError):
+        PiScalar(2.0) / PiScalar.of(10 ** 400)
+    assert PiScalar(2.0) * PiScalar.of(10 ** 300) == PiScalar(2e300)
 
 
 # ---------------------------------------------------------------------------
