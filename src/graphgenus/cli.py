@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="metric Lie algebra weight of a graph vector")
     sp.add_argument("--algebra", required=True,
-                    help="abelian(d), sl2, gl2, gl3, ...")
+                    help="sl2, gl(N) (also gl2, gl3, ...), abelian(d)")
     sp.add_argument("file")
 
     return p

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 import operator
+import reprlib
 import sys
 from typing import Callable
 
@@ -49,11 +50,29 @@ def nth_root_fraction(value: Fraction, k: int) -> Fraction | None:
 
 def parse_rational(text: str) -> Fraction:
     """Typed text as an exact rational: '7/3', '-2', '1.5e-400'; '1/0',
-    'nan' and 'inf' are a ValueError like any other malformed literal."""
+    'nan', 'inf' and literals of more digits than Python's int<->str bound
+    (sys.get_int_max_str_digits()) are a ValueError like any other
+    malformed literal."""
+    _check_digits(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _check_digits(text: str) -> None:
+    """Bound mantissa digits plus decimal exponent before Fraction computes
+    10**exponent (Fraction('1e10000000') alone takes seconds); without an
+    exponent, the int() inside Fraction applies the bound itself."""
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        exp = abs(int(exponent)) if e else 0
+    except ValueError:
+        return  # malformed: Fraction refuses it
+    # 0 switches Python's own bound off; this one stays at the default
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exp and exp + sum(c.isdigit() for c in mantissa) > limit:
+        raise ValueError(f"{reprlib.repr(text)} needs more than {limit} digits")
 
 
 def to_float(value: Fraction | float,
@@ -171,17 +190,33 @@ class PiScalar:
             if exact is not None:
                 return PiScalar(exact, self.pi2 // k)
         if self.coef > 0:
-            coef = Fraction(self.coef)
-            ln = (math.log(coef.numerator) - math.log(coef.denominator)
-                  + 2 * self.pi2 * math.log(math.pi))
+            ln = self._ln_abs()
             if not _LN_NORMAL[0] <= ln <= _LN_NORMAL[1]:
                 # the radicand's double is 0, subnormal or inf, but its
                 # root may be a normal double: take the root in logs
-                return PiScalar(to_float(coef, lambda _: math.exp(ln / k)), 0)
+                return PiScalar(to_float(self.coef, lambda _: math.exp(ln / k)), 0)
         return PiScalar(float(self) ** (1.0 / k), 0)
 
     def __float__(self) -> float:
-        return to_float(self.coef, lambda c: float(c) * math.pi ** (2 * self.pi2))
+        def convert(coef: Fraction | float) -> float:
+            if not coef or not self.pi2:
+                return float(coef)
+            try:
+                head, scale = float(coef), math.pi ** (2 * self.pi2)
+            except OverflowError:
+                head = scale = 0.0
+            if min(abs(head), scale) >= sys.float_info.min:
+                return head * scale
+            # a factor alone leaves the double range: multiply in logs
+            return (1 if coef > 0 else -1) * math.exp(self._ln_abs())
+
+        return to_float(self.coef, convert)
+
+    def _ln_abs(self) -> float:
+        """log|coef * pi^(2 pi2)| for a nonzero coef of any size."""
+        coef = abs(Fraction(self.coef))
+        return (math.log(coef.numerator) - math.log(coef.denominator)
+                + 2 * self.pi2 * math.log(math.pi))
 
     def render(self, use_float: bool = False) -> str:
         """Deterministic text form: '48', '192*pi^2', '-1/5760*pi^4'."""

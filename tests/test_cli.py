@@ -1,6 +1,8 @@
 """End-to-end command line tests pinned to golden output files."""
 
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,46 @@ def test_values_beyond_the_exact_boundary_exit_2(argv):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"ValueError: [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--k", "2", "--vol", "1e1000000"] + DEGREE2,
+    ["analyze", "--k", "2", "--vol", "1e-100000"] + DEGREE2,
+    ["analyze", "--k", "1", "--vol", "1", "--c2", "24e99999999"],
+    K1_REPORT + ["--normRsq", "5e100000*pi^2"],
+], ids=" ".join)
+def test_literals_beyond_the_digit_bound_exit_2(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"ValueError: [^\n]+ more than 4300 digits\n", err)
+
+
+def test_vector_coefficient_beyond_the_digit_bound(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("coeff 1e99999999 graph { vertices 2 ; edge 0 1 ; edge 0 1 ; edge 0 1 ; }\n")
+    code, out, err = run_cli(["oracle", "--algebra", "gl2", str(path)])
+    assert (code, out, err) == (2, "", "bad rational '1e99999999' at line 1\n")
+
+
+def test_float_report_when_only_the_coefficient_leaves_the_double_range():
+    # c_theta is a 402-digit integer times pi^-798, about 1.8e5: a double
+    # although neither factor alone is
+    argv = ["analyze", "--k", "1", "--vol", "1e-400*pi^800", "--c2", "24"]
+    code, exact, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    code, rounded, err = run_cli(argv + ["--float"])
+    assert (code, err) == (0, "")
+    exact_lines = dict(line.split(" ") for line in exact.splitlines())
+    float_lines = dict(line.split(" ") for line in rounded.splitlines())
+    assert exact_lines.keys() == float_lines.keys()
+    coef, power = exact_lines["c_theta"].split("*pi^")
+    assert int(power) == -798
+    # the double pi to the 798th power is within 1e-13 of the real one
+    reference = float(Fraction(coef) * Fraction(math.pi) ** int(power))
+    assert 1.8e5 < reference < 1.81e5
+    assert float(float_lines["c_theta"]) == pytest.approx(reference, rel=1e-11)
+    for key in ("sqrt_ahat", "ahat", "euler", "b_theta_k"):
+        assert float(float_lines[key]) == float(Fraction(exact_lines[key]))
 
 
 def test_every_exported_exception_is_a_value_error():

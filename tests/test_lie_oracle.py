@@ -19,9 +19,10 @@ from graphgenus.graph_algebra import (
 from graphgenus.graph_core import (
     Graph, canonical_form, concat, line, theta, to_cyclic, wheel,
 )
+from graphgenus import lie_oracle
 from graphgenus.lie_oracle import (
     InvalidAlgebra, MetricLieAlgebra, NotTrivalent, UnknownName, abelian,
-    builtin, gl, sl2, weight, weight_vector,
+    builtin, gl, gl_polynomial, sl2, weight, weight_vector,
 )
 from conftest import represent
 
@@ -149,6 +150,19 @@ def test_validation_rejects_broken_tables():
                          [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_validation_names_the_broken_law():
+    # [e0,e1] = e2, [e1,e2] = e1: [[e1,e2],e0] = -e2 is all of the Jacobi sum
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, vec in ((0, 1, (0, 0, 1)), (1, 2, (0, 1, 0))):
+        table[a][b] = list(vec)
+        table[b][a] = [-x for x in vec]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    with pytest.raises(InvalidAlgebra, match=r"Jacobi fails at basis \(0,1,2\)"):
+        MetricLieAlgebra("bad", table, identity)
+    with pytest.raises(InvalidAlgebra, match="form not invariant"):
+        MetricLieAlgebra("bad", sl2().brackets, identity)
+
+
 def test_gl_killing_data_is_valid():
     # the constructor validates; reaching here is the assertion
     for N in (1, 2, 3):
@@ -260,3 +274,117 @@ def test_sl2_row_frozen():
     L = sl2()
     cols = ihx_relations(2).columns
     assert [weight(L, g) for g in cols] == [-24, -144, 48]
+
+
+# ---------------------------------------------------------------------------
+# the gl(N) ribbon polynomial against the contraction
+
+
+def contracted(L: MetricLieAlgebra, g: Graph) -> F:
+    cyclic, sign = to_cyclic(g)
+    return sign * lie_oracle._contract(L, g, cyclic)
+
+
+def at(poly: dict[int, int], N: int) -> int:
+    return sum(c * N ** f for f, c in poly.items())
+
+
+def vector_polynomial(v: GraphVector) -> dict[int, F]:
+    out: dict[int, F] = {}
+    for g, coeff in v.items():
+        for f, c in gl_polynomial(g).items():
+            out[f] = out.get(f, 0) + coeff * c
+    return {f: c for f, c in out.items() if c}
+
+
+def exact_rank(rows) -> int:
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name,N,k", [
+    (name, N, k) for name, N in (("sl2", 2), ("gl2", 2), ("gl3", 3))
+    for k in (0, 1, 2)
+] + [("sl2", 2, 3), ("gl2", 2, 3)])
+def test_gl_polynomial_agrees_with_contraction(name, N, k):
+    L = builtin(name)
+    assert L.rank == N
+    for g in ihx_relations(k).columns:
+        expected = contracted(L, g)
+        assert at(gl_polynomial(g), N) == expected
+        assert weight(L, g) == expected
+
+
+def test_theta_polynomial():
+    assert gl_polynomial(theta()) == {1: -2, 3: 2}
+    for N in range(1, 7):
+        assert at(gl_polynomial(theta()), N) == 2 * N * (N * N - 1)
+    for N in (1, 2, 3, 4):
+        assert weight(gl(N), theta()) == 2 * N * (N * N - 1)
+        assert contracted(gl(N), theta()) == 2 * N * (N * N - 1)
+
+
+def test_gl_polynomial_of_the_empty_graph_and_of_legs():
+    assert gl_polynomial(Graph((), ())) == {0: 1}
+    with pytest.raises(NotTrivalent):
+        gl_polynomial(line())
+
+
+def test_gl_polynomial_follows_the_presentation_sign():
+    rng = random.Random(19)
+    for k in (1, 2, 3):
+        for g in ihx_relations(k).columns:
+            canonical = gl_polynomial(g)
+            for _ in range(3):
+                h, sign = represent(rng, g)
+                assert gl_polynomial(h) == {f: sign * c for f, c in canonical.items()}
+
+
+def test_only_rank_algebras_skip_the_contraction(monkeypatch):
+    calls = []
+    real = lie_oracle._contract
+
+    def spy(L, g, cyclic):
+        calls.append(L.name)
+        return real(L, g, cyclic)
+
+    monkeypatch.setattr(lie_oracle, "_contract", spy)
+    base = sl2()
+    custom = MetricLieAlgebra("custom sl2", base.brackets, base.form)
+    scaled = base.with_form_scaled(3)
+    assert custom.rank is None and scaled.rank is None
+    for L in (abelian(2), custom, scaled):
+        weight(L, K4)
+    assert calls == ["abelian(2)", "custom sl2", "sl2*3"]
+    calls.clear()
+    for L in (base, gl(1), builtin("gl2"), builtin("gl3")):
+        weight(L, K4)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the polynomial weight system certifies the quotient
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_ihx_relations_vanish_as_polynomials(k):
+    for rel in ihx_relations(k).relations:
+        assert vector_polynomial(rel) == {}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polynomial_coefficients_separate_the_quotient(k):
+    polys = [gl_polynomial(g) for g in ihx_relations(k).columns]
+    powers = sorted({f for poly in polys for f in poly})
+    rows = [[poly.get(f, 0) for poly in polys] for f in powers]
+    assert exact_rank(rows) == dimension(k) == k

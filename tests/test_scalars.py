@@ -62,6 +62,20 @@ def test_parse_rational_rejects_with_value_error(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "0.5e-4299", "1.5e4299",
+                                  "1e10000000", "-1e-10000000", "1e" + "9" * 4000])
+def test_parse_rational_bounds_digits_before_building(text):
+    # Fraction('1e10000000') alone takes seconds; the text is refused first
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_up_to_the_digit_bound():
+    assert parse_rational("1e4299") == 10 ** 4299
+    assert parse_rational("1e-4299") == Fraction(1, 10 ** 4299)
+    assert parse_rational("-2.5e330") == Fraction(-25 * 10 ** 329)
+
+
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(-7, 2),
                                    Fraction(10 ** 308), Fraction(1, 10 ** 308),
                                    Fraction(5, 10 ** 324), 2.5, 0.0])
@@ -84,6 +98,20 @@ def test_pi_scalar_float_is_guarded():
             float(bad)
         with pytest.raises(ValueError):
             bad.render(use_float=True)
+
+
+def test_pi_scalar_float_when_only_a_factor_leaves_the_double_range():
+    # 10^400 * pi^-800 and 10^-400 * pi^800 are normal doubles; a
+    # subnormal coefficient without a pi power rounds as float() does
+    for coef, pi2 in ((Fraction(10 ** 400), -400), (Fraction(1, 10 ** 400), 400),
+                      (Fraction(-3, 10 ** 310), 0)):
+        value = PiScalar.of(coef, pi2)
+        if pi2:
+            assert float(value) == pytest.approx(
+                float(coef * Fraction(3.141592653589793) ** (2 * pi2)), rel=1e-12)
+        else:
+            assert float(value) == float(coef)
+    assert float(PiScalar.of(0, 400)) == 0.0
 
 
 def test_mixed_product_is_guarded():
