@@ -140,6 +140,8 @@ def _run(args) -> int:
     if args.command == "ihx":
         rels = ihx_relations(args.k).relations
         if args.index is not None:
+            if not rels:
+                raise AlgebraError(f"degree {args.k} has no relations")
             if not 0 <= args.index < len(rels):
                 raise AlgebraError(
                     f"relation index {args.index} out of range 0..{len(rels) - 1}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
@@ -177,21 +178,12 @@ def power(v: GraphVector, m: int) -> GraphVector:
     return out
 
 
-def _component_subgraph(g: Graph, vertices: tuple[int, ...]) -> Graph:
-    vset = set(vertices)
-    relabel = {v: i for i, v in enumerate(vertices)}
-    valences = tuple(g.valences[v] for v in vertices)
-    edges = tuple((relabel[a], relabel[b]) for a, b in g.edges if a in vset)
-    return Graph(valences, edges)
-
-
-def _split(g: Graph, comps, chosen: set[int]) -> Graph:
-    verts: list[int] = []
-    for i, comp in enumerate(comps):
-        if i in chosen:
-            verts.extend(comp)
-    verts.sort()
-    return _component_subgraph(g, tuple(verts))
+def _subgraph(g: Graph, vertices: set[int]) -> Graph:
+    """The subgraph on a union of components, in the inherited order."""
+    order = sorted(vertices)
+    relabel = {v: i for i, v in enumerate(order)}
+    return Graph(tuple(g.valences[v] for v in order),
+                 tuple((relabel[a], relabel[b]) for a, b in g.edges if a in relabel))
 
 
 def _shuffle_sign(g: Graph, chosen_verts: set[int]) -> int:
@@ -220,10 +212,9 @@ def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
         comps = g.components()
         r = len(comps)
         for bits in range(1 << r):
-            chosen = {i for i in range(r) if bits >> i & 1}
-            chosen_verts = {v for i in chosen for v in comps[i]}
-            left = canonical_form(_split(g, comps, chosen))
-            right = canonical_form(_split(g, comps, set(range(r)) - chosen))
+            chosen_verts = {v for i in range(r) if bits >> i & 1 for v in comps[i]}
+            left = canonical_form(_subgraph(g, chosen_verts))
+            right = canonical_form(_subgraph(g, set(range(g.n)) - chosen_verts))
             if left.sign_state == 0 or right.sign_state == 0:
                 continue
             sign = _shuffle_sign(g, chosen_verts)
@@ -250,39 +241,37 @@ def enumerate_trivalent(k: int) -> list[OrientedGraph]:
     isomorphism, canonical presentations, AS-zero ones flagged by
     sign_state 0 (others +1), sorted by graph key."""
     check_bound(k)
-    n = 2 * k
-    if n == 0:
-        return [OrientedGraph(Graph((), ()), 1)]
-    found: dict[Graph, OrientedGraph] = {}
-    remaining = [3] * n
+    return [OrientedGraph(g, 1 if canonical_form(g).sign_state else 0)
+            for g in sorted(_classes(k), key=graph_sort_key)]
 
-    def place(v: int, start: int, edges: list[tuple[int, int]]):
-        if remaining[v] == 0:
-            if v == n - 1:
-                g = Graph((3,) * n, tuple(edges))
-                og = canonical_form(g)
-                if og.graph not in found:
-                    found[og.graph] = OrientedGraph(
-                        og.graph, 0 if og.sign_state == 0 else 1)
-            else:
-                place(v + 1, v + 2, edges)
-            return
-        if start >= n:
-            return
-        # multiplicity of edge (v, start): 0..min(remaining)
-        top = min(remaining[v], remaining[start])
-        for mult in range(top, -1, -1):
-            remaining[v] -= mult
-            remaining[start] -= mult
-            edges.extend([(v, start)] * mult)
-            place(v, start + 1, edges)
-            for _ in range(mult):
-                edges.pop()
-            remaining[v] += mult
-            remaining[start] += mult
 
-    place(0, 1, [])
-    return sorted(found.values(), key=lambda og: graph_sort_key(og.graph))
+@cache
+def _classes(k: int) -> frozenset[Graph]:
+    """Canonical loop-free cubic multigraphs on 2k vertices, grown from
+    degree k - 1: add a theta, or put new points on edges s <= t (both on
+    one edge if s = t, doubling the new edge) and join them.
+
+    Complete: with no theta component, some edge uv can be deleted, and
+    u and v suppressed, leaving a loop-free cubic graph; insertion is the
+    inverse.  In a simple graph any edge works; a double edge x=y with
+    outer neighbours a != b loses one copy; if every double edge has
+    a = b, a's third edge a-c works (x=y becomes a theta) unless c is on
+    a double edge c=d, whose outer neighbours then differ (d's is not a).
+    """
+    if k == 0:
+        return frozenset({Graph((), ())})
+    found: set[Graph] = set()
+    for g in _classes(k - 1):
+        found.add(canonical_form(concat(g, theta())).graph)
+        for s, t in combinations_with_replacement(range(len(g.edges)), 2):
+            edges = list(g.edges)
+            for e, new in ((s, g.n), (t, g.n + 1)):
+                a, b = edges[e]
+                edges[e] = (a, new)
+                edges.append((new, b))
+            edges.append((g.n, g.n + 1))
+            found.add(canonical_form(Graph((3,) * (g.n + 2), tuple(edges))).graph)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

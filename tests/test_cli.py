@@ -266,6 +266,13 @@ def test_relation_index_out_of_range():
     assert err == "AlgebraError: relation index 5 out of range 0..0\n"
 
 
+def test_relation_index_in_degree_without_relations():
+    code, out, err = run_cli(["ihx", "emit", "--k", "1", "--index", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "AlgebraError: degree 1 has no relations\n"
+
+
 def test_missing_input_file():
     code, _, err = run_cli(["normalize", str(DATA / "nonexistent.txt")])
     assert code == 2

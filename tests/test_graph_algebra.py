@@ -1,6 +1,7 @@
 """Vector space of oriented graphs: product, coproduct, IHX reduction."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -213,6 +214,73 @@ def test_enumeration_is_canonical_and_deduplicated():
             assert canonical_form(og.graph).graph == og.graph
             assert all(v == 3 for v in og.graph.valences)
             assert og.graph.n == 2 * k
+
+
+def test_degree_four_classes(monkeypatch):
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
+    ogs = enumerate_trivalent(4)
+    assert len(ogs) == 32
+    assert sum(1 for og in ogs if og.sign_state) == 24
+    connected = [sum(1 for og in enumerate_trivalent(k)
+                     if len(og.graph.components()) == 1) for k in range(1, 5)]
+    assert connected == [1, 2, 6, 20]  # OEIS A000421
+    assert dimension(4) == 6
+
+
+def _nx_graph(nx, n: int, edges):
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+def _labelled_cubic(n: int):
+    """Every loop-free cubic multigraph on labelled vertices 0..n-1, as an
+    edge list choosing a multiplicity for each vertex pair in turn."""
+    pairs = list(itertools.combinations(range(n), 2))
+    free = [3] * n
+
+    def walk(i, edges):
+        if i == len(pairs):
+            if not any(free):
+                yield edges
+            return
+        a, b = pairs[i]
+        for m in range(min(free[a], free[b]) + 1):
+            if b == n - 1 and m != free[a]:
+                continue  # (a, n-1) is the last pair that can fill a
+            free[a] -= m
+            free[b] -= m
+            yield from walk(i + 1, edges + [(a, b)] * m)
+            free[a] += m
+            free[b] += m
+
+    yield from walk(0, [])
+
+
+def test_networkx_referee_no_two_classes_isomorphic(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
+    for k in range(5):
+        graphs = [_nx_graph(nx, 2 * k, og.graph.edges)
+                  for og in enumerate_trivalent(k)]
+        for g1, g2 in itertools.combinations(graphs, 2):
+            assert not nx.is_isomorphic(g1, g2)
+
+
+def test_networkx_referee_labelled_walk_finds_the_same_classes():
+    nx = pytest.importorskip("networkx")
+    for k in range(4):
+        found = []
+        for edges in _labelled_cubic(2 * k):
+            g = _nx_graph(nx, 2 * k, edges)
+            if not any(nx.is_isomorphic(g, h) for h in found):
+                found.append(g)
+        generated = [_nx_graph(nx, 2 * k, og.graph.edges)
+                     for og in enumerate_trivalent(k)]
+        assert len(found) == len(generated)
+        for g in found:
+            assert any(nx.is_isomorphic(g, h) for h in generated)
 
 
 # ---------------------------------------------------------------------------
