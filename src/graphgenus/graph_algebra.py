@@ -241,15 +241,15 @@ def enumerate_trivalent(k: int) -> list[OrientedGraph]:
     isomorphism, canonical presentations, AS-zero ones flagged by
     sign_state 0 (others +1), sorted by graph key."""
     check_bound(k)
-    return [OrientedGraph(g, 1 if canonical_form(g).sign_state else 0)
-            for g in sorted(_classes(k), key=graph_sort_key)]
+    return sorted(_classes(k), key=lambda og: graph_sort_key(og.graph))
 
 
 @cache
-def _classes(k: int) -> frozenset[Graph]:
-    """Canonical loop-free cubic multigraphs on 2k vertices, grown from
-    degree k - 1: add a theta, or put new points on edges s <= t (both on
-    one edge if s = t, doubling the new edge) and join them.
+def _classes(k: int) -> frozenset[OrientedGraph]:
+    """Canonical loop-free cubic multigraphs on 2k vertices, sign_state 0
+    for a zero class and 1 otherwise, grown from degree k - 1: add a
+    theta, or put new points on edges s <= t (both on one edge if s = t,
+    doubling the new edge) and join them.
 
     Complete: with no theta component, some edge uv can be deleted, and
     u and v suppressed, leaving a loop-free cubic graph; insertion is the
@@ -259,10 +259,15 @@ def _classes(k: int) -> frozenset[Graph]:
     a double edge c=d, whose outer neighbours then differ (d's is not a).
     """
     if k == 0:
-        return frozenset({Graph((), ())})
-    found: set[Graph] = set()
-    for g in _classes(k - 1):
-        found.add(canonical_form(concat(g, theta())).graph)
+        return frozenset({OrientedGraph(Graph((), ()), 1)})
+
+    def canonical_class(h: Graph) -> OrientedGraph:
+        og = canonical_form(h)
+        return OrientedGraph(og.graph, 1 if og.sign_state else 0)
+
+    found: set[OrientedGraph] = set()
+    for g in (c.graph for c in _classes(k - 1)):
+        found.add(canonical_class(concat(g, theta())))
         for s, t in combinations_with_replacement(range(len(g.edges)), 2):
             edges = list(g.edges)
             for e, new in ((s, g.n), (t, g.n + 1)):
@@ -270,7 +275,7 @@ def _classes(k: int) -> frozenset[Graph]:
                 edges[e] = (a, new)
                 edges.append((new, b))
             edges.append((g.n, g.n + 1))
-            found.add(canonical_form(Graph((3,) * (g.n + 2), tuple(edges))).graph)
+            found.add(canonical_class(Graph((3,) * (g.n + 2), tuple(edges))))
     return frozenset(found)
 
 

@@ -111,20 +111,20 @@ class Graph:
         """Connected components as sorted vertex tuples, by least vertex."""
         parent = list(range(self.n))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            parent[_find(parent, a)] = _find(parent, b)
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def make_graph(vertex_count: int,
@@ -312,106 +312,116 @@ def canonical_form(g: Graph) -> OrientedGraph:
 
     The canonical presentation sorts valences ascending (so univalent
     vertices take the low labels), directs every edge low -> high and
-    lists edges sorted.  The search walks all label assignments, pruned
-    level by level on the partial adjacency key; every assignment that
-    attains the least key contributes its sign, and seeing both signs
-    means the class is zero.
+    lists edges sorted.  The search assigns positions 0, 1, ... in turn;
+    the key of a level is the ascending tuple of positions of the new
+    vertex's earlier neighbours, and the least key over all assignments
+    wins.  Candidates at a level are tried in (level key, label) order,
+    cut off once their key exceeds the best key's at a prefix that
+    matches it.
+
+    Two complete assignments with equal keys differ by an automorphism,
+    whose effect on the orientation is the ratio of their signs; if it
+    is -1 the class is zero.  Each leaf that equals the best key records
+    such an automorphism against the first leaf of that key.  A candidate
+    is skipped when found automorphisms fixing the assigned prefix
+    pointwise map an explored sibling onto it: its subtree is the image
+    of the sibling's, with the same keys (McKay, "Practical graph
+    isomorphism", 1981).  Zero detection survives the pruning: every
+    skipped least-key leaf is the image of an explored one under a
+    product of found automorphisms, and explored least-key leaves are
+    related to the first by found automorphisms.  So if no found
+    automorphism reverses the orientation, all least-key leaves carry
+    one sign, and no automorphism reverses it.
     """
     n = g.n
     base_sign = 1
     norm_edges = []
+    neighbors: list[list[int]] = [[] for _ in range(n)]
     for a, b in g.edges:
         if a > b:
             a, b = b, a
             base_sign = -base_sign
         norm_edges.append((a, b))
-
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in norm_edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
 
-    univalent = [v for v in range(n) if g.valences[v] == 1]
-    trivalent = [v for v in range(n) if g.valences[v] == 3]
-    slots = [1] * len(univalent) + [3] * len(trivalent)
+    by_valence = [[v for v in range(n) if g.valences[v] == k] for k in (1, 3)]
+    legs = len(by_valence[0])
+    pos = [-1] * n
+    order: list[int] = []
+    # positions of the assigned neighbours of every vertex, ascending
+    # because positions are handed out in increasing order: the level
+    # key of an unassigned vertex
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    best_key: list[list[int]] = []
+    best_order: list[int] = []
+    best_sign = 0
+    autos: list[list[int]] = []
+    zero = False
 
-    best_key: list[tuple[int, ...]] | None = None
-    best_signs: set[int] = set()
-    assigned_pos: dict[int, int] = {}
-    prefix: list[tuple[int, ...]] = []
+    def leaf_sign() -> int:
+        reversals = sum(1 for a, b in norm_edges if pos[a] > pos[b])
+        return perm_sign(pos) * (-1 if reversals % 2 else 1)
 
-    def level_key(v: int) -> tuple[int, ...]:
-        return tuple(sorted(assigned_pos[u] for u in neighbors[v] if u in assigned_pos))
-
-    def complete_sign() -> int:
-        perm = [assigned_pos[v] for v in range(n)]
-        sgn = perm_sign(perm)
-        reversals = sum(1 for a, b in norm_edges if assigned_pos[a] > assigned_pos[b])
-        return sgn * (-1 if reversals % 2 else 1)
-
-    def prefix_state() -> int:
-        """-1 prefix beats best, 0 equal so far, +1 prefix already loses.
-
-        Recomputed at every node because the best key can move while a
-        subtree is being explored.
-        """
-        if best_key is None:
-            return -1
-        for i, kv in enumerate(prefix):
-            if kv < best_key[i]:
-                return -1
-            if kv > best_key[i]:
-                return 1
-        return 0
-
-    def descend(depth: int):
-        nonlocal best_key, best_signs
+    def descend(depth: int, state: int):
+        """state -1: the prefix beats the best key (or there is none
+        yet); 0: it equals the best key's prefix."""
+        nonlocal best_key, best_order, best_sign, zero
         if depth == n:
-            key = list(prefix)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_signs = {complete_sign()}
-            elif key == best_key:
-                best_signs.add(complete_sign())
+            if state < 0:
+                best_key = [[p for p in earlier[v] if p < i] for i, v in enumerate(order)]
+                best_order, best_sign = list(order), leaf_sign()
+            else:
+                sigma = [0] * n
+                for u, w in zip(best_order, order):
+                    sigma[u] = w
+                autos.append(sigma)
+                zero = zero or leaf_sign() != best_sign
             return
-        state = prefix_state()
-        if state == 1:
-            return
-        want = slots[depth]
-        candidates = [v for v in range(n)
-                      if v not in assigned_pos and g.valences[v] == want]
-        scored = sorted(((level_key(v), v) for v in candidates))
-        for key_v, v in scored:
-            # pruning against the best key is only sound while the
-            # prefix matches it exactly
-            if state == 0 and best_key is not None and key_v > best_key[depth]:
-                break
-            assigned_pos[v] = depth
-            prefix.append(key_v)
-            descend(depth + 1)
-            prefix.pop()
-            del assigned_pos[v]
-            state = prefix_state()
-            if state == 1:
-                return
+        free = [v for v in by_valence[depth >= legs] if pos[v] < 0]
+        explored: list[int] = []
+        # orbits of the found automorphisms that fix the prefix pointwise,
+        # merged in as the search below finds them
+        orbits, merged = [], 0
+        for v in sorted(free, key=earlier.__getitem__):
+            key_v = earlier[v]
+            child = state
+            if state == 0:
+                if key_v > best_key[depth]:
+                    break
+                if key_v < best_key[depth]:
+                    child = -1
+            if explored and merged < len(autos):
+                orbits = orbits or list(range(n))
+                for s in autos[merged:]:
+                    if all(s[u] == u for u in order):
+                        for x in range(n):
+                            orbits[_find(orbits, x)] = _find(orbits, s[x])
+                merged = len(autos)
+            if orbits:
+                root = _find(orbits, v)
+                if any(_find(orbits, u) == root for u in explored):
+                    continue
+            pos[v] = depth
+            order.append(v)
+            for u in neighbors[v]:
+                earlier[u].append(depth)
+            descend(depth + 1, child)
+            for u in neighbors[v]:
+                earlier[u].pop()
+            order.pop()
+            pos[v] = -1
+            explored.append(v)
+            # the prefix matched the best key already, or a leaf below
+            # has just set a best key that extends it
+            state = 0
 
-    descend(0)
-    assert best_key is not None
+    descend(0, -1)
 
-    # rebuild the canonical presentation from any optimal assignment;
-    # the level key determines the sorted edge list uniquely
-    canon_edges: list[tuple[int, int]] = []
-    for pos_hi, lows in enumerate(best_key):
-        for pos_lo in lows:
-            canon_edges.append((pos_lo, pos_hi))
-    canon_edges.sort()
+    # the least key determines the sorted edge list uniquely
+    canon_edges = sorted((lo, hi) for hi, lows in enumerate(best_key) for lo in lows)
     canon = Graph(tuple(sorted(g.valences)), tuple(canon_edges))
-
-    if len(best_signs) == 2:
-        sign_state = 0
-    else:
-        sign_state = base_sign * best_signs.pop()
-    return OrientedGraph(canon, sign_state)
+    return OrientedGraph(canon, 0 if zero else base_sign * best_sign)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> Optional[int]:

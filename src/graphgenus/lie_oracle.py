@@ -74,24 +74,46 @@ class MetricLieAlgebra:
 
     ``rank`` N marks an algebra whose weight on every graph with vertices
     is the gl(N) ribbon polynomial at N; ``weight`` then evaluates that
-    polynomial instead of contracting.
+    polynomial instead of contracting.  Such an algebra builds and
+    validates its tables when one of them is first read, and
+    ``brackets`` may then be a function returning the table.
     """
 
     def __init__(self, name: str, brackets, form, validate: bool = True,
                  rank: int | None = None):
         self.name = name
         self.rank = rank
+        self.d = len(form)
+        self._source = (brackets, form, validate)
+        if rank is None:
+            self._build()
+
+    def __getattr__(self, attr):
+        tables = ("brackets", "form", "lowered", "form_inv")
+        if attr in tables and "_source" in vars(self):
+            try:
+                self._build()
+            except InvalidAlgebra:
+                # no half-built tables: the next read fails the same way
+                for name in tables:
+                    vars(self).pop(name, None)
+                raise
+            return getattr(self, attr)
+        raise AttributeError(attr)
+
+    def _build(self):
+        brackets, form, validate = self._source
         self.brackets = tuple(
             tuple(tuple(Fraction(x) for x in vec) for vec in row)
-            for row in brackets)
+            for row in (brackets() if callable(brackets) else brackets))
         self.form = _to_matrix(form)
-        self.d = len(self.form)
         if validate:
             self._validate_tables()
         self.lowered = self._lower()
         if validate:
             self._validate_laws()
         self.form_inv = _invert(self.form)
+        del self._source
 
     def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
         return self.brackets[a][b]
@@ -187,16 +209,19 @@ def gl(N: int) -> MetricLieAlgebra:
     def idx(a, b):
         return a * N + b
 
-    table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for e in range(N):
-                    vec = table[idx(a, b)][idx(c, e)]
-                    if b == c:
-                        vec[idx(a, e)] += 1
-                    if e == a:
-                        vec[idx(c, b)] -= 1
+    def table():
+        out = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for a in range(N):
+            for b in range(N):
+                for c in range(N):
+                    for e in range(N):
+                        vec = out[idx(a, b)][idx(c, e)]
+                        if b == c:
+                            vec[idx(a, e)] += 1
+                        if e == a:
+                            vec[idx(c, b)] -= 1
+        return out
+
     form = [[0] * d for _ in range(d)]
     for a in range(N):
         for b in range(N):

@@ -388,3 +388,32 @@ def test_polynomial_coefficients_separate_the_quotient(k):
     powers = sorted({f for poly in polys for f in poly})
     rows = [[poly.get(f, 0) for poly in polys] for f in powers]
     assert exact_rank(rows) == dimension(k) == k
+
+
+# ---------------------------------------------------------------------------
+# rank algebras build their tables only when something reads them
+
+
+def test_rank_algebra_builds_tables_on_first_read():
+    L = gl(8)
+    assert weight(L, theta()) == 2 * 8 * (8 * 8 - 1)
+    assert "brackets" not in vars(L) and "lowered" not in vars(L)
+    small = gl(2)
+    assert small.bracket(0, 1) == (0, 1, 0, 0)  # [E_00, E_01] = E_01
+    assert {"brackets", "form", "lowered", "form_inv"} <= set(vars(small))
+    assert small.with_form_scaled(2).rank is None
+
+
+def test_rank_algebra_validates_on_first_read():
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, vec in ((0, 1, (0, 0, 1)), (1, 2, (0, 1, 0))):
+        table[a][b] = list(vec)
+        table[b][a] = [-x for x in vec]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    L = MetricLieAlgebra("bad", table, identity, rank=3)
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebra, match=r"Jacobi fails at basis \(0,1,2\)"):
+            L.brackets
+    base = sl2()
+    lazy = MetricLieAlgebra("lazy", lambda: base.brackets, base.form, rank=2)
+    assert lazy.lowered == base.lowered
