@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _TokenStream, _tokenize,
+    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
     parse_graph_block, theta, to_cyclic,
 )
@@ -257,18 +257,27 @@ def _classes(k: int) -> frozenset[OrientedGraph]:
     outer neighbours a != b loses one copy; if every double edge has
     a = b, a's third edge a-c works (x=y becomes a theta) unless c is on
     a double edge c=d, whose outer neighbours then differ (d's is not a).
+
+    An automorphism of the smaller graph carries an insertion on s, t to
+    an isomorphic one on their images, as does swapping parallel edges,
+    so one pair s <= t per orbit suffices (McKay, "Isomorph-free
+    exhaustive generation", 1998).
     """
     if k == 0:
         return frozenset({OrientedGraph(Graph((), ()), 1)})
 
     def canonical_class(h: Graph) -> OrientedGraph:
         og = canonical_form(h)
-        return OrientedGraph(og.graph, 1 if og.sign_state else 0)
+        return OrientedGraph(og.graph, 1 if og.sign_state else 0, og.automorphisms)
 
     found: set[OrientedGraph] = set()
-    for g in (c.graph for c in _classes(k - 1)):
+    for c in _classes(k - 1):
+        g = c.graph
         found.add(canonical_class(concat(g, theta())))
-        for s, t in combinations_with_replacement(range(len(g.edges)), 2):
+        pairs = list(combinations_with_replacement(range(len(g.edges)), 2))
+        keys = [(g.edges[s],) if s == t else (g.edges[s], g.edges[t]) for s, t in pairs]
+        for i in _orbit_firsts(keys, c.automorphisms):
+            s, t = pairs[i]
             edges = list(g.edges)
             for e, new in ((s, g.n), (t, g.n + 1)):
                 a, b = edges[e]
@@ -277,6 +286,30 @@ def _classes(k: int) -> frozenset[OrientedGraph]:
             edges.append((g.n, g.n + 1))
             found.add(canonical_class(Graph((3,) * (g.n + 2), tuple(edges))))
     return frozenset(found)
+
+
+def _orbit_firsts(keys: list[tuple], automorphisms) -> list[int]:
+    """Indices of the keys that are the first of their orbit.
+
+    A key is a sorted tuple of edges (low, high) of a canonical graph;
+    an automorphism tau maps it to the sorted tuple of image edges.
+    Parallel edges share their (low, high), so the orbits are taken
+    under the automorphisms and all swaps of parallel edges.
+    """
+    parent = {x: x for x in keys}
+    for tau in automorphisms:
+        for x in keys:
+            image = tuple(sorted(
+                (tau[a], tau[b]) if tau[a] < tau[b] else (tau[b], tau[a]) for a, b in x))
+            parent[_find(parent, x)] = _find(parent, image)
+    roots: set[tuple] = set()
+    firsts = []
+    for i, x in enumerate(keys):
+        root = _find(parent, x)
+        if root not in roots:
+            roots.add(root)
+            firsts.append(i)
+    return firsts
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +357,14 @@ def _ihx_terms_for_edge(g: Graph, t: int) -> list[GraphVector]:
 def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
     """Every relation from contracting an edge of a trivalent graph of
     one degree: the three expansions of the four-valent corner sum to
-    zero.  Zero and duplicate relations are dropped."""
+    zero.  Zero and duplicate relations are dropped; the edges of one
+    automorphism orbit give one relation up to sign, so only the least
+    edge of each orbit is contracted."""
     seen: set = set()
     out: list[GraphVector] = []
     for og in classes:
         g = og.graph
-        for t in range(len(g.edges)):
+        for t in _orbit_firsts([(e,) for e in g.edges], og.automorphisms):
             total = sum(_ihx_terms_for_edge(g, t), GraphVector.zero())
             if not total:
                 continue

@@ -27,7 +27,7 @@ one report it so callers can drop the term as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Optional
 
@@ -299,11 +299,16 @@ class OrientedGraph:
     """Canonical presentation plus the sign relating the input to it.
 
     sign_state 0 marks a graph with an orientation-reversing
-    automorphism: its class is zero in the homology.
+    automorphism: its class is zero in the homology.  ``automorphisms``
+    holds vertex permutations of ``graph`` (tau[v] is the image of v)
+    that the canonical search met on its way; they need not generate
+    the whole group, and they take no part in equality or hashing.
     """
 
     graph: Graph
     sign_state: int
+    automorphisms: frozenset[tuple[int, ...]] = field(
+        default=frozenset(), compare=False, repr=False)
 
 
 @cache
@@ -322,10 +327,11 @@ def canonical_form(g: Graph) -> OrientedGraph:
     Two complete assignments with equal keys differ by an automorphism,
     whose effect on the orientation is the ratio of their signs; if it
     is -1 the class is zero.  Each leaf that equals the best key records
-    such an automorphism against the first leaf of that key.  A candidate
-    is skipped when found automorphisms fixing the assigned prefix
-    pointwise map an explored sibling onto it: its subtree is the image
-    of the sibling's, with the same keys (McKay, "Practical graph
+    such an automorphism against the first leaf of that key; the result
+    carries them relabelled onto the canonical presentation.  A
+    candidate is skipped when found automorphisms fixing the assigned
+    prefix pointwise map an explored sibling onto it: its subtree is
+    the image of the sibling's, with the same keys (McKay, "Practical graph
     isomorphism", 1981).  Zero detection survives the pruning: every
     skipped least-key leaf is the image of an explored one under a
     product of found automorphisms, and explored least-key leaves are
@@ -421,7 +427,12 @@ def canonical_form(g: Graph) -> OrientedGraph:
     # the least key determines the sorted edge list uniquely
     canon_edges = sorted((lo, hi) for hi, lows in enumerate(best_key) for lo in lows)
     canon = Graph(tuple(sorted(g.valences)), tuple(canon_edges))
-    return OrientedGraph(canon, 0 if zero else base_sign * best_sign)
+    # canonical vertex i is best_order[i]: carry every automorphism over
+    best_pos = [0] * n
+    for i, v in enumerate(best_order):
+        best_pos[v] = i
+    carried = frozenset(tuple(best_pos[sigma[v]] for v in best_order) for sigma in autos)
+    return OrientedGraph(canon, 0 if zero else base_sign * best_sign, carried)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> Optional[int]:

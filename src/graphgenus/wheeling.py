@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .scalars import PiScalar
 from .graph_core import Graph, concat, line, weld_all, wheel
@@ -75,18 +76,24 @@ class OmegaTruncation:
     partition_terms: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
+def _weight_terms(weight: int, b: dict[int, Fraction]):
+    """(ascending wheel-weight partition, coefficient, wheel product
+    presentation) for every wheeled-exponential term of one weight."""
+    for mono in even_monomials(weight):
+        parts = tuple(n // 2 for n in mono)
+        g = Graph((), ())
+        for n in parts:
+            g = concat(g, wheel(2 * n))
+        yield parts, _partition_coefficient(parts, b), g
+
+
 def omega(k: int) -> OmegaTruncation:
     check_bound(k)
     b = b_coefficients(max(k, 1))
     vec = GraphVector.unit()
     terms: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
     for weight in range(1, k + 1):
-        for mono in even_monomials(weight):
-            parts = tuple(n // 2 for n in mono)
-            coeff = _partition_coefficient(parts, b)
-            g = Graph((), ())
-            for n in parts:
-                g = concat(g, wheel(2 * n))
+        for parts, coeff, g in _weight_terms(weight, b):
             vec.add_presentation(g, coeff)
             terms.append((parts, coeff))
     terms.sort(key=lambda t: (sum(t[0]), t[0]))
@@ -135,8 +142,14 @@ def _matchings(items: list[int]):
 
 def pair_spokes(C: GraphVector) -> GraphVector:
     """Sum over perfect matchings of each term's legs, welding each pair."""
+    return _pair_presentations(C.items())
+
+
+def _pair_presentations(terms: Iterable[tuple[Graph, Fraction]]) -> GraphVector:
+    """pair_spokes over (presentation, coefficient) terms, which need not
+    be canonical: only the welded graphs are canonicalized."""
     out = GraphVector.zero()
-    for g, coeff in C.items():
+    for g, coeff in terms:
         legs = g.legs()
         if len(legs) % 2:
             raise OddLegCount(f"{len(legs)} legs cannot be matched in pairs")
@@ -184,12 +197,12 @@ def wheeling_check(k: int) -> WheelingReport:
     Terms of weight below k leave line legs open, so only the weight-k
     part glues to a trivalent graph, and every matching of its spokes
     arises from 2^k k! gluings (order of the lines, ends of each line):
-    the glued side is 2^k k! times pair_spokes of that part.
+    the glued side is 2^k k! times pair_spokes of that part.  The wheel
+    products are paired as presented, never canonicalized.
     """
     check_bound(k)
-    spokes = GraphVector({g: c for g, c in omega(k).vector.items()
-                          if len(g.legs()) == 2 * k})
-    lhs = pair_spokes(spokes) * (2 ** k * math.factorial(k))
+    spokes = ((g, c) for _, c, g in _weight_terms(k, b_coefficients(k)))
+    lhs = _pair_presentations(spokes) * (2 ** k * math.factorial(k))
     rhs = power(theta_vector() * Fraction(1, 24), k)
     diff = lhs - rhs
     exact = not diff

@@ -4,7 +4,7 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from graphgenus.graph_core import Graph, perm_sign
+from graphgenus.graph_core import Graph, OrientedGraph, perm_sign
 from graphgenus.cli import main as cli_main
 
 
@@ -50,6 +50,21 @@ def random_unitrivalent(rng, max_vertices: int = 8) -> Graph:
             if all(a != b for a, b in edges):
                 return Graph((3,) * n3 + (1,) * n1, tuple(edges))
         # degenerate draw (e.g. single trivalent vertex), resample sizes
+
+
+def check_automorphisms(og: OrientedGraph):
+    """Every recorded automorphism maps the canonical graph's valences and
+    edge multiset onto themselves, and keeps the orientation of a nonzero
+    class: relabelling parity times -1 per edge it turns around."""
+    g = og.graph
+    for tau in og.automorphisms:
+        assert sorted(tau) == list(range(g.n))
+        assert all(g.valences[tau[v]] == g.valences[v] for v in range(g.n))
+        images = [(tau[a], tau[b]) for a, b in g.edges]
+        assert sorted(tuple(sorted(e)) for e in images) == sorted(g.edges)
+        if og.sign_state:
+            reversals = sum(1 for a, b in images if a > b)
+            assert perm_sign(list(tau)) * (-1) ** reversals == 1
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

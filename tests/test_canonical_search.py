@@ -22,7 +22,7 @@ from graphgenus.graph_algebra import _classes, enumerate_trivalent
 from graphgenus.graph_core import (
     Graph, OrientedGraph, canonical_form, concat, line, perm_sign, theta, wheel,
 )
-from conftest import random_unitrivalent, represent
+from conftest import check_automorphisms, random_unitrivalent, represent
 
 
 def referee_canonical_form(g: Graph) -> OrientedGraph:
@@ -153,6 +153,12 @@ def test_pruned_search_matches_the_referee(g):
     assert canonical_form.__wrapped__(g) == referee_canonical_form(g)
 
 
+@settings(deadline=None, max_examples=200)
+@given(presentations())
+def test_recorded_automorphisms_are_automorphisms(g):
+    check_automorphisms(canonical_form.__wrapped__(g))
+
+
 def test_class_corpus_has_zero_and_nonzero_classes():
     # the property above must meet both verdicts among the classes
     assert {referee_canonical_form(g).sign_state for g in small_classes()} == {0, 1}
@@ -193,6 +199,7 @@ def test_wheel_product_with_many_leg_orders():
     g = product_of([wheel(2), wheel(2), wheel(2), wheel(4)])
     og = canonical_form(g)
     assert og.sign_state != 0
+    check_automorphisms(og)
     assert _nx_isomorphic(og.graph, g)
     assert canonical_form(og.graph) == OrientedGraph(og.graph, 1)
     h, pred = represent(random.Random(7), g)

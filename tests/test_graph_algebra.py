@@ -4,18 +4,20 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
 from graphgenus.graph_algebra import (
-    BoundExceeded, DegreeMismatch, GraphVector, coproduct, dimension,
-    enumerate_trivalent, format_vector, ihx_relations, parse_vector, product,
-    power, reduce, theta_vector, trivalent_part,
+    BoundExceeded, DegreeMismatch, GraphVector, _classes, _ihx_terms_for_edge,
+    _orbit_firsts, _raw_ihx_relations, coproduct, dimension, enumerate_trivalent,
+    format_vector, ihx_relations, parse_vector, product, power, reduce,
+    theta_vector, trivalent_part,
 )
 from graphgenus.graph_core import (
-    Graph, canonical_form, concat, empty_graph, line, theta, wheel,
+    Graph, OrientedGraph, canonical_form, concat, empty_graph, line, theta, wheel,
 )
-from conftest import represent
+from conftest import check_automorphisms, represent
 
 K4 = Graph((3, 3, 3, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 DBL = Graph((3, 3, 3, 3), ((0, 2), (0, 2), (0, 3), (1, 2), (1, 3), (1, 3)))
@@ -281,6 +283,89 @@ def test_networkx_referee_labelled_walk_finds_the_same_classes():
         assert len(found) == len(generated)
         for g in found:
             assert any(nx.is_isomorphic(g, h) for h in generated)
+
+
+def test_degree_five_classes(monkeypatch):
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "5")
+    ogs = enumerate_trivalent(5)
+    assert len(ogs) == 135
+    assert sum(1 for og in ogs if og.sign_state) == 86
+    connected = [sum(1 for og in enumerate_trivalent(k)
+                     if len(og.graph.components()) == 1) for k in range(1, 6)]
+    assert connected == [1, 2, 6, 20, 91]  # OEIS A000421
+    # Sym of the connected quotient, dims 1, 1, 1, 2, 2 (Bar-Natan 1995)
+    assert dimension(5) == 9
+
+
+# ---------------------------------------------------------------------------
+# orbit pruning against the unpruned loops
+
+
+@cache
+def unpruned_classes(k: int) -> frozenset[OrientedGraph]:
+    """Degree k grown from degree k - 1 on every pair of edges s <= t."""
+    if k == 0:
+        return frozenset({OrientedGraph(Graph((), ()), 1)})
+    found = set()
+    for c in unpruned_classes(k - 1):
+        g = c.graph
+        grown = [concat(g, theta())]
+        for s, t in itertools.combinations_with_replacement(range(len(g.edges)), 2):
+            edges = list(g.edges)
+            for e, new in ((s, g.n), (t, g.n + 1)):
+                a, b = edges[e]
+                edges[e] = (a, new)
+                edges.append((new, b))
+            edges.append((g.n, g.n + 1))
+            grown.append(Graph((3,) * (g.n + 2), tuple(edges)))
+        for h in grown:
+            og = canonical_form(h)
+            found.add(OrientedGraph(og.graph, 1 if og.sign_state else 0))
+    return frozenset(found)
+
+
+def unpruned_ihx_relations(classes) -> list[GraphVector]:
+    """The relation of every edge of every class, zero and repeated
+    relations (up to a factor) dropped."""
+    seen, out = set(), []
+    for og in classes:
+        for t in range(len(og.graph.edges)):
+            total = sum(_ihx_terms_for_edge(og.graph, t), GraphVector.zero())
+            if not total:
+                continue
+            items = total.items()
+            normal = tuple((g, c / items[0][1]) for g, c in items)
+            if normal not in seen:
+                seen.add(normal)
+                out.append(total)
+    return out
+
+
+def test_pruned_generation_equals_the_unpruned_loops(monkeypatch):
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
+    for k in range(5):
+        assert _classes(k) == unpruned_classes(k)
+        classes = enumerate_trivalent(k)
+        assert _raw_ihx_relations(classes) == unpruned_ihx_relations(classes)
+
+
+def test_classes_carry_genuine_automorphisms(monkeypatch):
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
+    ogs = [og for k in range(5) for og in enumerate_trivalent(k)]
+    for og in ogs:
+        check_automorphisms(og)
+    # the corpus meets both verdicts, and the pruning has maps to use
+    assert {og.sign_state for og in ogs if og.automorphisms} == {0, 1}
+
+
+def test_one_edge_and_two_pairs_per_orbit_of_theta():
+    og = canonical_form(theta())
+    g = og.graph
+    assert og.automorphisms
+    assert _orbit_firsts([(e,) for e in g.edges], og.automorphisms) == [0]
+    pairs = list(itertools.combinations_with_replacement(range(3), 2))
+    keys = [(g.edges[s],) if s == t else (g.edges[s], g.edges[t]) for s, t in pairs]
+    assert [pairs[i] for i in _orbit_firsts(keys, og.automorphisms)] == [(0, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------

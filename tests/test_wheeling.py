@@ -24,8 +24,8 @@ from graphgenus.genus import (
 from graphgenus.scalars import PiScalar
 from graphgenus.wheeling import (
     BadPartition, OddLegCount, b_coefficients, bridge_identity, glue_hat,
-    line_power, line_vector, omega, pair_spokes, wheel_char_weight,
-    wheeling_check,
+    _pair_presentations, _weight_terms, line_power, line_vector, omega,
+    pair_spokes, wheel_char_weight, wheeling_check,
 )
 from conftest import represent
 
@@ -203,6 +203,18 @@ def test_wheeling_lhs_matches_direct_computation():
     diff = lhs - rhs
     assert diff  # nonzero before reduction
     assert ihx_reduce(diff, ihx_relations(2)) == GraphVector.zero()
+
+
+def test_presented_wheel_products_pair_like_their_canonical_forms(monkeypatch):
+    # wheeling_check pairs the weight-k products as built, omega holds
+    # their canonical presentations
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
+    for k in range(5):
+        canonical = GraphVector({g: c for g, c in omega(k).vector.items()
+                                 if len(g.legs()) == 2 * k})
+        presented = [(g, c) for _, c, g in _weight_terms(k, b_coefficients(k))]
+        assert len(presented) == len(canonical.items())
+        assert _pair_presentations(presented) == pair_spokes(canonical)
 
 
 # ---------------------------------------------------------------------------
