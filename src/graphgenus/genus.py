@@ -6,11 +6,15 @@ prod_i Q(x_i) into symmetric functions.  One core does this for every
 presentation: with q = log Q, sum_i log Q(x_i) = sum_j q_j s_j in the
 power sums s_j, and the genus is the top-weight part of its
 exponential.  The core takes s_j in whichever basis is wanted (the s_j
-themselves, Chern classes, or Pontryagin classes), each produced by the
-one cached Newton recursion.  The exponential of a graded polynomial L
-is built weight by weight from w E_w = sum_j j L_j E_{w-j}.  All
-coefficients are Fractions; series carry an explicit truncation order
-and refuse mixed-order arithmetic.
+themselves, Chern classes, or Pontryagin classes), each produced by
+Newton's identities.  The exact core in ``scalars`` supplies the rest:
+ChernPolynomial takes its module arithmetic from ``Combination``, and
+one recurrence, w E_w = sum_j j L_j E_{w-j} (``graded_exp`` and, solved
+for L, ``graded_log``), builds every exponential and log weight by
+weight: of a series (and so its inverse and square root), of a graded
+polynomial, and of the total class in Newton's identities.  All
+coefficients are Fractions; series carry an explicit truncation
+order and refuse mixed-order arithmetic.
 
 Weights are complex degrees: c_i and s_i have weight i, and the
 Pontryagin symbol p_j has weight 2j, so the real-degree-4k piece of a
@@ -27,6 +31,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Optional
 
 from .graph_algebra import DegreeMismatch, degree_bound
+from .scalars import Combination, accumulate, graded_exp, graded_log
 
 Monomial = tuple[int, ...]
 
@@ -114,36 +119,19 @@ class CharPowerSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise BadConstantTerm("inverse needs a nonzero constant term")
-        inv = [1 / c0] + [Fraction(0)] * self.order
-        for j in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                acc += self.coeffs[i] * inv[j - i]
-            inv[j] = -acc / c0
-        return CharPowerSeries(inv, self.order)
+        # 1/Q = exp(-log(Q/c0)) / c0
+        return ((self * (1 / c0)).log() * -1).exp() * (1 / c0)
 
     def log(self) -> "CharPowerSeries":
         if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs constant term 1")
-        u = CharPowerSeries([0] + list(self.coeffs[1:]), self.order)
-        out = CharPowerSeries([0], self.order)
-        term = CharPowerSeries([1], self.order)
-        for m in range(1, self.order + 1):
-            term = term * u
-            out = out + term * Fraction((-1) ** (m + 1), m)
-        return out
+        return CharPowerSeries(graded_log(self.coeffs, Fraction(0)), self.order)
 
     def exp(self) -> "CharPowerSeries":
         if self.coeffs[0]:
             raise BadConstantTerm("exp needs constant term 0")
-        out = CharPowerSeries([1], self.order)
-        term = CharPowerSeries([1], self.order)
-        fact = 1
-        for m in range(1, self.order + 1):
-            term = term * self
-            fact *= m
-            out = out + term * Fraction(1, fact)
-        return out
+        return CharPowerSeries(
+            graded_exp(self.coeffs, Fraction(0), Fraction(1)), self.order)
 
     def sqrt(self) -> "CharPowerSeries":
         if self.coeffs[0] != 1:
@@ -202,27 +190,21 @@ def todd_series(order: Optional[int] = None) -> CharPowerSeries:
 # graded polynomials in c_i / s_i / p_j
 
 
-class ChernPolynomial:
+class ChernPolynomial(Combination):
     """Polynomial in indexed classes; monomial key = ascending index tuple."""
 
-    __slots__ = ("symbol", "terms")
+    __slots__ = ()
 
     def __init__(self, symbol: str, terms: Optional[Mapping[Monomial, Fraction]] = None):
         if symbol not in ("c", "s", "p"):
             raise ValueError(f"unknown symbol {symbol!r}")
-        self.symbol = symbol
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                mono = tuple(sorted(mono))
-                if any(i < 1 for i in mono):
-                    raise ValueError(f"bad index in monomial {mono}")
-                self.terms[mono] = self.terms.get(mono, Fraction(0)) + coeff
-                if not self.terms[mono]:
-                    del self.terms[mono]
+        super().__init__(terms, symbol)
+
+    def _key(self, mono: Monomial) -> Monomial:
+        mono = tuple(sorted(mono))
+        if any(i < 1 for i in mono):
+            raise ValueError(f"bad index in monomial {mono}")
+        return mono
 
     @staticmethod
     def zero(symbol: str) -> "ChernPolynomial":
@@ -243,55 +225,15 @@ class ChernPolynomial:
     def weight(self, mono: Monomial) -> int:
         return sum(self._index_weight(i) for i in mono)
 
-    def _match(self, other: "ChernPolynomial"):
-        if self.symbol != other.symbol:
-            raise ValueError(f"mixed symbols {self.symbol!r} and {other.symbol!r}")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, ChernPolynomial)
-                and self.symbol == other.symbol and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.symbol, frozenset(self.terms.items())))
-
-    def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        self._match(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return ChernPolynomial(self.symbol, out)
-
-    def __neg__(self):
-        return ChernPolynomial(self.symbol, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other) -> "ChernPolynomial":
         if not isinstance(other, ChernPolynomial):
-            q = Fraction(other)
-            return ChernPolynomial(self.symbol,
-                                   {m: c * q for m, c in self.terms.items()})
+            return super().__mul__(other)
         self._match(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                new = out.get(mono, Fraction(0)) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return ChernPolynomial(self.symbol, out)
-
-    __rmul__ = __mul__
+                accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
+        return self._new(out)
 
     def truncate(self, max_weight: int) -> "ChernPolynomial":
         return ChernPolynomial(self.symbol, {
@@ -301,25 +243,14 @@ class ChernPolynomial:
         return ChernPolynomial(self.symbol, {
             m: c for m, c in self.terms.items() if self.weight(m) == w})
 
-    def max_weight(self) -> int:
-        return max((self.weight(m) for m in self.terms), default=0)
-
     def exp_truncated(self, max_weight: int) -> "ChernPolynomial":
-        """exp(self) through weight max_weight.
-
-        The weight grading w is a derivation, so E = exp(L) satisfies
-        w E_w = sum_{j=1..w} j L_j E_{w-j} on homogeneous parts.
-        """
+        """exp(self) through weight max_weight, by graded_exp on the
+        homogeneous parts."""
         if () in self.terms:
             raise BadConstantTerm("exp needs zero constant term")
         parts = [self.homogeneous(j) for j in range(max_weight + 1)]
-        graded = [ChernPolynomial.one(self.symbol)]
-        for w in range(1, max_weight + 1):
-            acc = ChernPolynomial.zero(self.symbol)
-            for j in range(1, w + 1):
-                if parts[j] and graded[w - j]:
-                    acc = acc + parts[j] * graded[w - j] * j
-            graded.append(acc * Fraction(1, w))
+        graded = graded_exp(parts, ChernPolynomial.zero(self.symbol),
+                            ChernPolynomial.one(self.symbol))
         return sum(graded[1:], graded[0])
 
     def substitute(self, table: Mapping[int, "ChernPolynomial"],
@@ -369,16 +300,14 @@ def _power_product(names: Iterable[str]) -> str:
 def _power_sum(j: int, symbol: str) -> ChernPolynomial:
     """j-th power sum of the roots whose elementary classes are symbol_i.
 
-    Newton: s_j = sum_{i<j} (-1)^{i-1} e_i s_{j-i} + (-1)^{j-1} j e_j.
+    Newton's identities: the total class prod_i (1 + x_i) has the log
+    sum_j (-1)^(j-1) s_j / j, which graded_log reads off weight by weight.
     """
     if j < 1:
         raise ValueError("power sums are indexed from 1")
-    acc = ChernPolynomial.zero(symbol)
-    for i in range(1, j):
-        acc = acc + (Fraction((-1) ** (i - 1))
-                     * ChernPolynomial.variable(symbol, i)
-                     * _power_sum(j - i, symbol))
-    return acc + Fraction((-1) ** (j - 1) * j) * ChernPolynomial.variable(symbol, j)
+    total = [ChernPolynomial.one(symbol)] + [
+        ChernPolynomial.variable(symbol, i) for i in range(1, j + 1)]
+    return graded_log(total, ChernPolynomial.zero(symbol))[j] * ((-1) ** (j - 1) * j)
 
 
 def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
@@ -396,16 +325,12 @@ def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
 
 @cache
 def chern_in_power_sums(i: int) -> ChernPolynomial:
-    """c_i as a polynomial in s_1..s_i (Newton, inverted):
-    c_i = (1/i) sum_{m=1..i} (-1)^{m-1} c_{i-m} s_m."""
-    if i == 0:
-        return ChernPolynomial.one("s")
-    acc = ChernPolynomial.zero("s")
-    for m in range(1, i + 1):
-        acc = acc + (Fraction((-1) ** (m - 1))
-                     * chern_in_power_sums(i - m)
-                     * ChernPolynomial.variable("s", m))
-    return acc * Fraction(1, i)
+    """c_i as a polynomial in s_1..s_i (Newton, inverted): the total
+    Chern class is exp(sum_m (-1)^(m-1) s_m / m)."""
+    logs = [ChernPolynomial.zero("s")] + [
+        ChernPolynomial.variable("s", m) * Fraction((-1) ** (m - 1), m)
+        for m in range(1, i + 1)]
+    return graded_exp(logs, ChernPolynomial.zero("s"), ChernPolynomial.one("s"))[i]
 
 
 def newton_convert(p: ChernPolynomial) -> ChernPolynomial:

@@ -25,9 +25,9 @@ from typing import Iterable, Optional
 from .graph_core import (
     Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
-    parse_graph_block, theta, to_cyclic,
+    parse_graph_block, perm_sign, theta, to_cyclic,
 )
-from .scalars import parse_rational
+from .scalars import Combination, Echelon, accumulate, parse_rational
 
 
 class AlgebraError(ValueError):
@@ -64,17 +64,13 @@ def check_bound(k: int):
         raise BoundExceeded(f"degree {k} exceeds the configured bound {bound}")
 
 
-class GraphVector:
+class GraphVector(Combination):
     """Finite rational combination of canonical oriented graphs."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[dict[Graph, Fraction]] = None):
-        self._terms: dict[Graph, Fraction] = {}
-        if terms:
-            for g, c in terms.items():
-                if c:
-                    self._terms[g] = Fraction(c)
+        super().__init__(terms)
 
     @staticmethod
     def zero() -> "GraphVector":
@@ -96,59 +92,20 @@ class GraphVector:
         if not coeff:
             return
         og = canonical_form(g)
-        if og.sign_state == 0:
-            return
-        key = og.graph
-        new = self._terms.get(key, Fraction(0)) + coeff * og.sign_state
-        if new:
-            self._terms[key] = new
-        else:
-            self._terms.pop(key, None)
+        if og.sign_state:
+            accumulate(self.terms, og.graph, coeff * og.sign_state)
 
     def items(self) -> list[tuple[Graph, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: graph_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: graph_sort_key(kv[0]))
 
     def coefficient(self, g: Graph) -> Fraction:
         og = canonical_form(g)
         if og.sign_state == 0:
             return Fraction(0)
-        return og.sign_state * self._terms.get(og.graph, Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GraphVector) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "GraphVector") -> "GraphVector":
-        out = GraphVector(dict(self._terms))
-        for g, c in other._terms.items():
-            new = out._terms.get(g, Fraction(0)) + c
-            if new:
-                out._terms[g] = new
-            else:
-                out._terms.pop(g, None)
-        return out
-
-    def __neg__(self) -> "GraphVector":
-        return GraphVector({g: -c for g, c in self._terms.items()})
-
-    def __sub__(self, other: "GraphVector") -> "GraphVector":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "GraphVector":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return GraphVector()
-        return GraphVector({g: c * scalar for g, c in self._terms.items()})
-
-    __rmul__ = __mul__
+        return og.sign_state * self.terms.get(og.graph, Fraction(0))
 
     def __repr__(self):
-        if not self._terms:
+        if not self.terms:
             return "GraphVector(0)"
         bits = [f"{c}*[{g.valences}|{g.edges}]" for g, c in self.items()]
         return "GraphVector(" + " + ".join(bits) + ")"
@@ -165,8 +122,8 @@ def scale(q, v: GraphVector) -> GraphVector:
 def product(v1: GraphVector, v2: GraphVector) -> GraphVector:
     """Bilinear disjoint union."""
     out = GraphVector()
-    for g1, c1 in v1._terms.items():
-        for g2, c2 in v2._terms.items():
+    for g1, c1 in v1.terms.items():
+        for g2, c2 in v2.terms.items():
             out.add_presentation(concat(g1, g2), c1 * c2)
     return out
 
@@ -186,19 +143,6 @@ def _subgraph(g: Graph, vertices: set[int]) -> Graph:
                  tuple((relabel[a], relabel[b]) for a, b in g.edges if a in relabel))
 
 
-def _shuffle_sign(g: Graph, chosen_verts: set[int]) -> int:
-    """Parity of moving the chosen vertices in front of the rest,
-    keeping relative order on both sides."""
-    inversions = 0
-    unchosen_seen = 0
-    for v in range(g.n):
-        if v in chosen_verts:
-            inversions += unchosen_seen
-        else:
-            unchosen_seen += 1
-    return -1 if inversions % 2 else 1
-
-
 def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
     """Sum over ordered splits of the labeled components.
 
@@ -208,7 +152,7 @@ def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
     canonical graphs.
     """
     out: dict[tuple[Graph, Graph], Fraction] = {}
-    for g, c in v._terms.items():
+    for g, c in v.terms.items():
         comps = g.components()
         r = len(comps)
         for bits in range(1 << r):
@@ -217,19 +161,15 @@ def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
             right = canonical_form(_subgraph(g, set(range(g.n)) - chosen_verts))
             if left.sign_state == 0 or right.sign_state == 0:
                 continue
-            sign = _shuffle_sign(g, chosen_verts)
-            key = (left.graph, right.graph)
-            val = out.get(key, Fraction(0)) \
-                + c * sign * left.sign_state * right.sign_state
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            # the shuffle: chosen vertices first, order kept on both sides
+            sign = perm_sign(sorted(range(g.n), key=lambda u: u not in chosen_verts))
+            accumulate(out, (left.graph, right.graph),
+                       c * sign * left.sign_state * right.sign_state)
     return out
 
 
 def trivalent_part(v: GraphVector) -> GraphVector:
-    return GraphVector({g: c for g, c in v._terms.items() if g.is_trivalent})
+    return GraphVector({g: c for g, c in v.terms.items() if g.is_trivalent})
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +308,7 @@ def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
             total = sum(_ihx_terms_for_edge(g, t), GraphVector.zero())
             if not total:
                 continue
-            items = total.items()
-            lead = items[0][1]
-            normal = tuple((gg, c / lead) for gg, c in items)
+            normal = total * (1 / total.items()[0][1])
             if normal in seen:
                 continue
             seen.add(normal)
@@ -386,58 +324,23 @@ class RelationSet:
         self.relations = list(relations)
         self.columns = list(columns)
         self.col_index = {g: i for i, g in enumerate(self.columns)}
-        self.rows: list[dict[int, Fraction]] = []
-        self.pivots: list[int] = []
+        self.echelon = Echelon()
         for rel in self.relations:
-            row = self._eliminate({self.col_index[g]: c for g, c in rel.items()})
-            if not row:
-                continue
-            pivot = min(row)
-            inv = 1 / row[pivot]
-            row = {j: c * inv for j, c in row.items()}
-            # keep the basis fully reduced
-            for i, existing in enumerate(self.rows):
-                if pivot in existing:
-                    factor = existing[pivot]
-                    self.rows[i] = _row_sub(existing, row, factor)
-            self.rows.append(row)
-            self.pivots.append(pivot)
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-
-    def _eliminate(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        for pivot, basis_row in zip(self.pivots, self.rows):
-            if pivot in row:
-                row = _row_sub(row, basis_row, row[pivot])
-        return row
+            self.echelon.add({self.col_index[g]: c for g, c in rel.terms.items()})
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.echelon.rows)
 
     def reduce_vector(self, v: GraphVector) -> GraphVector:
         row: dict[int, Fraction] = {}
-        for g, c in v.items():
+        for g, c in v.terms.items():
             j = self.col_index.get(g)
             if j is None:
                 raise DegreeMismatch(
                     "vector contains a graph outside the degree's trivalent basis")
             row[j] = c
-        row = self._eliminate(row)
-        return GraphVector({self.columns[j]: c for j, c in row.items()})
-
-
-def _row_sub(row: dict[int, Fraction], other: dict[int, Fraction],
-             factor: Fraction) -> dict[int, Fraction]:
-    out = dict(row)
-    for j, c in other.items():
-        new = out.get(j, Fraction(0)) - factor * c
-        if new:
-            out[j] = new
-        else:
-            out.pop(j, None)
-    return out
+        return GraphVector({self.columns[j]: c for j, c in self.echelon.reduce(row).items()})
 
 
 def ihx_relations(k: int) -> RelationSet:

@@ -104,9 +104,6 @@ class Graph:
     def is_trivalent(self) -> bool:
         return all(k == 3 for k in self.valences)
 
-    def flags_at(self, v: int) -> list[Flag]:
-        return _incidence(self)[v]
-
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, by least vertex."""
         parent = list(range(self.n))

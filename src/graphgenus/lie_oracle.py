@@ -21,6 +21,7 @@ from typing import Union
 
 from .graph_core import Graph, OrientedGraph, to_cyclic
 from .graph_algebra import GraphVector
+from .scalars import Echelon, accumulate
 
 
 class OracleError(ValueError):
@@ -42,27 +43,19 @@ class InvalidAlgebra(OracleError):
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _to_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def _invert(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; InvalidAlgebra when singular."""
+    """Inverse by reducing [m | 1]: m is invertible exactly when every
+    pivot lies in the left block, and the right block is then the
+    inverse; InvalidAlgebra when singular."""
     d = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(m)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col]), None)
-        if pivot is None:
-            raise InvalidAlgebra("form is degenerate")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+    echelon = Echelon()
+    for i, row in enumerate(m):
+        echelon.add({**dict(_support(row)), d + i: Fraction(1)})
+    if any(pivot >= d for pivot in echelon.rows):
+        raise InvalidAlgebra("form is degenerate")
+    rows = echelon.rows
+    return tuple(tuple(rows[i].get(d + j, Fraction(0)) for j in range(d))
+                 for i in range(d))
 
 
 def _support(vec) -> list[tuple[int, Fraction]]:
@@ -76,14 +69,15 @@ class MetricLieAlgebra:
     is the gl(N) ribbon polynomial at N; ``weight`` then evaluates that
     polynomial instead of contracting.  Such an algebra builds and
     validates its tables when one of them is first read, and
-    ``brackets`` may then be a function returning the table.
+    ``brackets`` and ``form`` may then be functions returning the
+    tables; a function form needs the dimension ``d``.
     """
 
     def __init__(self, name: str, brackets, form, validate: bool = True,
-                 rank: int | None = None):
+                 rank: int | None = None, d: int | None = None):
         self.name = name
         self.rank = rank
-        self.d = len(form)
+        self.d = len(form) if d is None else d
         self._source = (brackets, form, validate)
         if rank is None:
             self._build()
@@ -106,7 +100,8 @@ class MetricLieAlgebra:
         self.brackets = tuple(
             tuple(tuple(Fraction(x) for x in vec) for vec in row)
             for row in (brackets() if callable(brackets) else brackets))
-        self.form = _to_matrix(form)
+        self.form = tuple(tuple(Fraction(x) for x in row)
+                          for row in (form() if callable(form) else form))
         if validate:
             self._validate_tables()
         self.lowered = self._lower()
@@ -143,8 +138,8 @@ class MetricLieAlgebra:
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         for m, coeff in nonzero[x][y]:
                             for t, cv in nonzero[m][z]:
-                                total[t] = total.get(t, 0) + coeff * cv
-                    if any(total.values()):
+                                accumulate(total, t, coeff * cv)
+                    if total:
                         raise InvalidAlgebra(f"Jacobi fails at basis ({a},{b},{c})")
         # invariance B([a,b],c) = B(a,[b,c]); the form being symmetric, the
         # right side is B([b,c],a)
@@ -162,13 +157,9 @@ class MetricLieAlgebra:
         form_rows = [_support(row) for row in self.form]
         for a, row in enumerate(self.brackets):
             for b, vec in enumerate(row):
-                vals: dict[int, Fraction] = {}
                 for m, x in _support(vec):
                     for c, y in form_rows[m]:
-                        vals[c] = vals.get(c, 0) + x * y
-                for c in sorted(vals):
-                    if vals[c]:
-                        out[(a, b, c)] = vals[c]
+                        accumulate(out, (a, b, c), x * y)
         return out
 
     def with_form_scaled(self, factor) -> "MetricLieAlgebra":
@@ -181,9 +172,13 @@ class MetricLieAlgebra:
 
 
 def abelian(d: int) -> MetricLieAlgebra:
-    zero = [[[0] * d for _ in range(d)] for _ in range(d)]
-    form = [[int(i == j) for j in range(d)] for i in range(d)]
-    return MetricLieAlgebra(f"abelian({d})", zero, form)
+    """Zero brackets and the identity form.  Its weight is gl(1)'s: 0 on
+    every graph with vertices (gl(1) is abelian too) and 1 on the empty
+    graph, so it is a rank-1 algebra and builds its tables only when
+    they are read."""
+    return MetricLieAlgebra(
+        f"abelian({d})", lambda: [[[0] * d for _ in range(d)] for _ in range(d)],
+        lambda: [[int(i == j) for j in range(d)] for i in range(d)], rank=1, d=d)
 
 
 def sl2() -> MetricLieAlgebra:
@@ -222,12 +217,15 @@ def gl(N: int) -> MetricLieAlgebra:
                             vec[idx(c, b)] -= 1
         return out
 
-    form = [[0] * d for _ in range(d)]
-    for a in range(N):
-        for b in range(N):
-            # tr(E_(a,b) E_(c,e)) = [b==c][e==a]
-            form[idx(a, b)][idx(b, a)] = 1
-    return MetricLieAlgebra(f"gl({N})", table, form, rank=N)
+    def form():
+        out = [[0] * d for _ in range(d)]
+        for a in range(N):
+            for b in range(N):
+                # tr(E_(a,b) E_(c,e)) = [b==c][e==a]
+                out[idx(a, b)][idx(b, a)] = 1
+        return out
+
+    return MetricLieAlgebra(f"gl({N})", table, form, rank=N, d=d)
 
 
 @cache
@@ -346,12 +344,7 @@ def _contract(L: MetricLieAlgebra, g: Graph,
                        if (f[0], 1 - f[1]) not in closing}
                 for f in opening:
                     nxt[f] = idx_at[f]
-                nk = tuple(sorted(nxt.items()))
-                acc = new_states.get(nk, Fraction(0)) + factor
-                if acc:
-                    new_states[nk] = acc
-                else:
-                    new_states.pop(nk, None)
+                accumulate(new_states, tuple(sorted(nxt.items())), factor)
         states = new_states
         placed.add(v)
         if not states:

@@ -1,4 +1,13 @@
-"""Exact scalars graded by integer powers of pi^2.
+"""The package's exact core: scalars graded by powers of pi^2, and the
+one copy of its sparse linear algebra.
+
+The core has four parts, each used everywhere it applies: ``accumulate``
+is the only zero-dropping add; ``Combination`` is the module arithmetic
+of graph vectors and Chern polynomials; ``Echelon`` is the only
+elimination (IHX relations and inverse forms); and ``graded_exp`` /
+``graded_log`` run the one recurrence w E_w = sum_j j L_j E_{w-j} of an
+exponential, for power series and Chern polynomials alike.  This module
+imports nothing from the package.
 
 Curvature norms and wheel weights are rational multiples of powers of
 pi^2, so they are kept symbolic: a value is ``coef * (pi^2)**pi2``.
@@ -17,7 +26,7 @@ import math
 import operator
 import reprlib
 import sys
-from typing import Callable
+from typing import Callable, Sequence
 
 
 def nth_root_int(value: int, k: int) -> int | None:
@@ -240,3 +249,143 @@ def parse_pi_scalar(text: str) -> PiScalar:
             raise ValueError("only even powers of pi are representable")
         return PiScalar(parse_rational(head), power // 2)
     return PiScalar(parse_rational(text), 0)
+
+
+# ---------------------------------------------------------------------------
+# sparse exact linear algebra
+
+_ZERO = Fraction(0)
+
+
+def accumulate(terms: dict, key, value) -> None:
+    """terms[key] += value, dropping the key when the sum is zero."""
+    new = terms.get(key, _ZERO) + value
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+class Combination:
+    """A finite combination {key: nonzero Fraction} over one symbol (None
+    for graphs): the module arithmetic shared by its subclasses, which
+    normalize (``_key``) and multiply their own keys."""
+
+    __slots__ = ("symbol", "terms")
+
+    def __init__(self, terms=None, symbol=None):
+        self.symbol = symbol
+        self.terms = {}
+        for key, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff:
+                accumulate(self.terms, self._key(key), coeff)
+
+    def _key(self, key):
+        return key
+
+    def _new(self, terms: dict):
+        """A combination of this kind and symbol on zero-free terms."""
+        out = object.__new__(type(self))
+        out.symbol, out.terms = self.symbol, terms
+        return out
+
+    def _match(self, other: "Combination"):
+        if self.symbol != other.symbol:
+            raise ValueError(f"mixed symbols {self.symbol!r} and {other.symbol!r}")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.symbol == other.symbol
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.symbol, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._match(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(out, key, coeff)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        scalar = Fraction(scalar)
+        if not scalar:
+            return self._new({})
+        return self._new({key: c * scalar for key, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+class Echelon:
+    """Sparse rows {column: Fraction}, fully reduced and keyed by pivot:
+    a row's pivot is its least column, with entry 1, and no other row
+    has an entry there.  So the rows, and the reduction of a vector, do
+    not depend on the order in which rows were added."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """row minus its part in the span: zero at every pivot."""
+        row = dict(row)
+        # a basis row is zero at the other pivots, so the pivots present
+        # now are all that ever need clearing
+        for pivot in [j for j in row if j in self.rows]:
+            factor = -row[pivot]
+            for j, c in self.rows[pivot].items():
+                accumulate(row, j, factor * c)
+        return row
+
+    def add(self, row: dict[int, Fraction]) -> None:
+        """Add row to the span, keeping every row fully reduced."""
+        row = self.reduce(row)
+        if not row:
+            return
+        pivot = min(row)
+        inv = 1 / Fraction(row[pivot])
+        row = {j: c * inv for j, c in row.items()}
+        for other in self.rows.values():
+            if pivot in other:
+                factor = -other[pivot]
+                for j, c in row.items():
+                    accumulate(other, j, factor * c)
+        self.rows[pivot] = row
+
+
+def _graded_sum(parts: Sequence, graded: Sequence, w: int, zero):
+    """sum_j j L_j E_{w-j} over 1 <= j <= w with L_j in parts."""
+    acc = zero
+    for j in range(1, min(w, len(parts) - 1) + 1):
+        if parts[j] and graded[w - j]:
+            acc = acc + parts[j] * graded[w - j] * j
+    return acc
+
+
+def graded_exp(parts: Sequence, zero, one) -> list:
+    """[E_0, ..., E_n] for E = exp(L), L = parts[1] + ... + parts[n] graded
+    by weight: the grading is a derivation, so w E_w = sum_j j L_j E_{w-j}."""
+    graded = [one]
+    for w in range(1, len(parts)):
+        graded.append(_graded_sum(parts, graded, w, zero) * Fraction(1, w))
+    return graded
+
+
+def graded_log(graded: Sequence, zero) -> list:
+    """[0, L_1, ..., L_n] for L = log(E), E_0 = 1: the recurrence of
+    graded_exp solved for L_w."""
+    parts = [zero]
+    for w in range(1, len(graded)):
+        parts.append(graded[w] - _graded_sum(parts, graded, w, zero) * Fraction(1, w))
+    return parts

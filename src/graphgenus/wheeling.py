@@ -30,8 +30,7 @@ from .graph_algebra import (
     theta_vector,
 )
 from .genus import (
-    ChernPolynomial, even_monomials, genus_in_power_sums, sinh_half_over_half,
-    sqrt_ahat_series,
+    ChernPolynomial, genus_in_power_sums, sinh_half_over_half, sqrt_ahat_series,
 )
 
 
@@ -56,15 +55,6 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
     return {2 * n: series[2 * n] for n in range(1, n_max + 1)}
 
 
-def _partition_coefficient(parts: tuple[int, ...], b: dict[int, Fraction]) -> Fraction:
-    coeff = Fraction(1)
-    for n in parts:
-        coeff *= b[2 * n]
-    for _, group in itertools.groupby(parts):
-        coeff /= math.factorial(len(tuple(group)))
-    return coeff
-
-
 @dataclass(frozen=True)
 class OmegaTruncation:
     """Wheeled exponential cut at total wheel weight k."""
@@ -78,25 +68,27 @@ class OmegaTruncation:
 
 def _weight_terms(weight: int, b: dict[int, Fraction]):
     """(ascending wheel-weight partition, coefficient, wheel product
-    presentation) for every wheeled-exponential term of one weight."""
-    for mono in even_monomials(weight):
+    presentation) for every wheeled-exponential term of one weight, in
+    partition order: the weight-2*weight part of exp(sum_n b_2n s_2n),
+    where the commuting s_2n stand for the wheels w_2n."""
+    exponent = ChernPolynomial("s", {(n,): c for n, c in b.items()})
+    for mono, coeff in exponent.exp_truncated(2 * weight).homogeneous(2 * weight).items():
         parts = tuple(n // 2 for n in mono)
         g = Graph((), ())
         for n in parts:
             g = concat(g, wheel(2 * n))
-        yield parts, _partition_coefficient(parts, b), g
+        yield parts, coeff, g
 
 
 def omega(k: int) -> OmegaTruncation:
     check_bound(k)
     b = b_coefficients(max(k, 1))
-    vec = GraphVector.unit()
-    terms: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
-    for weight in range(1, k + 1):
+    vec = GraphVector.zero()
+    terms: list[tuple[tuple[int, ...], Fraction]] = []
+    for weight in range(k + 1):
         for parts, coeff, g in _weight_terms(weight, b):
             vec.add_presentation(g, coeff)
             terms.append((parts, coeff))
-    terms.sort(key=lambda t: (sum(t[0]), t[0]))
     return OmegaTruncation(k, vec, b, tuple(terms))
 
 
@@ -168,10 +160,7 @@ def line_vector() -> GraphVector:
 
 def line_power(k: int) -> GraphVector:
     """k disjoint lines."""
-    g = Graph((), ())
-    for _ in range(k):
-        g = concat(g, line())
-    return GraphVector.from_graph(g)
+    return power(line_vector(), k)
 
 
 def wheel_vector(n: int) -> GraphVector:

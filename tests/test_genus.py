@@ -79,6 +79,14 @@ def test_exp_log_round_trip():
         assert g.exp().log() == g
 
 
+def test_log_exp_and_inverse_stay_exact():
+    # an empty sum is the int 0 and 0 / w a float; neither may become a coefficient
+    for f in (sqrt_ahat_series(10), todd_series(10), sinh_half_over_half(10)):
+        for g in (f.log(), f.log().exp(), f.inverse(), f.sqrt()):
+            assert all(type(c) is F for c in g.coeffs)
+    assert CharPowerSeries([1], 4).log() == CharPowerSeries([0], 4)
+
+
 def test_inverse():
     rng = random.Random(12)
     one = CharPowerSeries([1] + [0] * 7, 7)
@@ -126,8 +134,10 @@ def test_polynomial_arithmetic_and_render():
 
 
 def test_polynomial_symbol_discipline():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed symbols 'c' and 's'"):
         poly("c", {(2,): 1}) + poly("s", {(2,): 1})
+    with pytest.raises(ValueError, match="mixed symbols 's' and 'c'"):
+        poly("s", {(2,): 1}) - poly("c", {(2,): 1})
     with pytest.raises(ValueError):
         poly("c", {(2,): 1}) * poly("p", {(1,): 1})
 

@@ -9,8 +9,9 @@ from functools import cache
 import pytest
 
 from graphgenus.graph_algebra import (
-    BoundExceeded, DegreeMismatch, GraphVector, _classes, _ihx_terms_for_edge,
-    _orbit_firsts, _raw_ihx_relations, coproduct, dimension, enumerate_trivalent,
+    BoundExceeded, DegreeMismatch, GraphVector, RelationSet, _classes,
+    _ihx_terms_for_edge, _orbit_firsts, _raw_ihx_relations, coproduct, dimension,
+    enumerate_trivalent,
     format_vector, ihx_relations, parse_vector, product, power, reduce,
     theta_vector, trivalent_part,
 )
@@ -418,6 +419,19 @@ def test_reduce_mod_relation_shift():
     v = random_vector(rng, 2)
     shifted = v + rs.relations[0] * F(5, 3)
     assert reduce(v, rs) == reduce(shifted, rs)
+
+
+def test_relation_order_changes_neither_rank_nor_reduction():
+    # the echelon keeps its rows fully reduced, so it depends on the span only
+    rng = random.Random(8)
+    for k in (1, 2, 3):
+        rs = ihx_relations(k)
+        shuffled = RelationSet(k, [rel * F(rng.choice([-3, -1, 2, 5]), 7) for rel in
+                                   rng.sample(rs.relations, len(rs.relations))], rs.columns)
+        assert shuffled.rank == rs.rank
+        for _ in range(10):
+            v = random_vector(rng, k)
+            assert shuffled.reduce_vector(v) == rs.reduce_vector(v)
 
 
 def test_reduce_k4_hits_double_edge_class():

@@ -164,10 +164,10 @@ def test_validation_names_the_broken_law():
 
 
 def test_gl_killing_data_is_valid():
-    # the constructor validates; reaching here is the assertion
-    for N in (1, 2, 3):
-        gl(N)
-    abelian(1)
+    # rank algebras validate on the first read of a table; reaching the
+    # end is the assertion
+    for L in (gl(1), gl(2), gl(3), abelian(1), abelian(3)):
+        assert all(L.lowered.values())
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +362,18 @@ def test_only_rank_algebras_skip_the_contraction(monkeypatch):
     base = sl2()
     custom = MetricLieAlgebra("custom sl2", base.brackets, base.form)
     scaled = base.with_form_scaled(3)
-    assert custom.rank is None and scaled.rank is None
-    for L in (abelian(2), custom, scaled):
+    table = abelian(2).with_form_scaled(1)
+    assert custom.rank is None and scaled.rank is None and table.rank is None
+    for L in (table, custom, scaled):
         weight(L, K4)
-    assert calls == ["abelian(2)", "custom sl2", "sl2*3"]
+    assert calls == ["abelian(2)*1", "custom sl2", "sl2*3"]
     calls.clear()
-    for L in (base, gl(1), builtin("gl2"), builtin("gl3")):
+    for L in (base, gl(1), builtin("gl2"), builtin("gl3"), abelian(2)):
         weight(L, K4)
     assert calls == []
+    # the contracted abelian table agrees with the rank-1 shortcut
+    for g in (theta(), K4, DBL, Graph((), ())):
+        assert weight(table, g) == weight(abelian(2), g) == (0 if g.n else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +402,13 @@ def test_rank_algebra_builds_tables_on_first_read():
     L = gl(8)
     assert weight(L, theta()) == 2 * 8 * (8 * 8 - 1)
     assert "brackets" not in vars(L) and "lowered" not in vars(L)
+    big = gl(60)
+    assert weight(big, theta()) == 2 * 60 * (60 * 60 - 1)
+    assert big.d == 3600 and "form" not in vars(big)
+    A = abelian(40)
+    assert weight(A, theta()) == 0 and weight(A, Graph((), ())) == 1
+    assert A.d == 40 and A.rank == 1 and "form" not in vars(A)
+    assert abelian(3).form[2] == (0, 0, 1)
     small = gl(2)
     assert small.bracket(0, 1) == (0, 1, 0, 0)  # [E_00, E_01] = E_01
     assert {"brackets", "form", "lowered", "form_inv"} <= set(vars(small))

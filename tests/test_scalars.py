@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from graphgenus.scalars import (
-    PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar, parse_rational,
-    to_float,
+    Echelon, PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar,
+    parse_rational, to_float,
 )
 
 
@@ -212,3 +212,21 @@ def test_parse_rejects_odd_pi_power():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_pi_scalar("two*pi^2")
+
+
+# ---------------------------------------------------------------------------
+# the sparse linear-algebra core
+
+
+def test_echelon_depends_on_the_span_only():
+    rows = [{0: 2, 2: 4}, {1: 1, 2: -1}, {0: 1, 1: 1, 2: 1}, {0: 3, 1: 1, 2: 5}]
+    forward, backward = Echelon(), Echelon()
+    for row in rows:
+        forward.add(row)
+    for row in reversed(rows):
+        backward.add(row)
+    assert forward.rows == backward.rows == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
+    assert all(type(c) is Fraction for row in forward.rows.values() for c in row.values())
+    assert forward.reduce({0: 1, 1: 1, 2: 7}) == {2: 6}
+    assert forward.reduce({0: 1, 2: 2}) == {}
+
