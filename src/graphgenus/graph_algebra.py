@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _tokenize,
+    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _restrict, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
     parse_graph_block, perm_sign, theta, to_cyclic,
 )
@@ -135,14 +135,6 @@ def power(v: GraphVector, m: int) -> GraphVector:
     return out
 
 
-def _subgraph(g: Graph, vertices: set[int]) -> Graph:
-    """The subgraph on a union of components, in the inherited order."""
-    order = sorted(vertices)
-    relabel = {v: i for i, v in enumerate(order)}
-    return Graph(tuple(g.valences[v] for v in order),
-                 tuple((relabel[a], relabel[b]) for a, b in g.edges if a in relabel))
-
-
 def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
     """Sum over ordered splits of the labeled components.
 
@@ -157,8 +149,8 @@ def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
         r = len(comps)
         for bits in range(1 << r):
             chosen_verts = {v for i in range(r) if bits >> i & 1 for v in comps[i]}
-            left = canonical_form(_subgraph(g, chosen_verts))
-            right = canonical_form(_subgraph(g, set(range(g.n)) - chosen_verts))
+            left = canonical_form(_restrict(g, sorted(chosen_verts))[0])
+            right = canonical_form(_restrict(g, sorted(set(range(g.n)) - chosen_verts))[0])
             if left.sign_state == 0 or right.sign_state == 0:
                 continue
             # the shuffle: chosen vertices first, order kept on both sides

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from math import prod
 from typing import Iterable, Optional
 
 Flag = tuple[int, int]
@@ -179,14 +180,9 @@ def _incidence(g: Graph) -> list[list[Flag]]:
     return at
 
 
-def _expansion_sign(vertex_seq: list[Flag], directions: Iterable[int]) -> int:
-    """Parity of a vertex expansion against the edge expansion that lists
-    edge e tail first, or head first where directions[e] is -1."""
-    pos: dict[Flag, int] = {}
-    for e, d in enumerate(directions):
-        tail, head = (2 * e, 2 * e + 1) if d == 1 else (2 * e + 1, 2 * e)
-        pos[(e, 0)], pos[(e, 1)] = tail, head
-    return perm_sign([pos[f] for f in vertex_seq])
+def _expansion_sign(vertex_seq: list[Flag]) -> int:
+    """Parity of a vertex expansion against the edge expansion."""
+    return perm_sign([2 * e + end for e, end in vertex_seq])
 
 
 def to_cyclic(g: Graph) -> tuple[dict[int, tuple[Flag, ...]], int]:
@@ -197,7 +193,7 @@ def to_cyclic(g: Graph) -> tuple[dict[int, tuple[Flag, ...]], int]:
     cyclic data describes.
     """
     at = _incidence(g)
-    sign = _expansion_sign([f for flags in at for f in flags], (1,) * len(g.edges))
+    sign = _expansion_sign([f for flags in at for f in flags])
     cyclic = {v: tuple(at[v]) for v in range(g.n) if g.valences[v] == 3}
     return cyclic, sign
 
@@ -213,7 +209,7 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
     vertex_seq = [f for v in range(g.n) for f in cyclic.get(v, at[v])]
     if sorted(vertex_seq) != [(e, end) for e in range(len(g.edges)) for end in (0, 1)]:
         raise InvalidOrientation("cyclic data does not list each flag exactly once")
-    return _expansion_sign(vertex_seq, (1,) * len(g.edges))
+    return _expansion_sign(vertex_seq)
 
 
 @dataclass(frozen=True)
@@ -242,17 +238,6 @@ def _reference_cyclic(g: Graph) -> CyclicOrientation:
                              g.legs())
 
 
-def _raw_sign_of_edge_order(g: Graph, o: EdgeOrderOrientation) -> int:
-    if sorted(o.vertex_order) != list(range(g.n)):
-        raise InvalidOrientation("vertex_order is not a permutation of the labels")
-    if len(o.edge_directions) != len(g.edges) or \
-            any(d not in (1, -1) for d in o.edge_directions):
-        raise InvalidOrientation("edge_directions must be +-1 per edge")
-    at = _incidence(g)
-    vertex_seq = [f for v in o.vertex_order for f in at[v]]
-    return _expansion_sign(vertex_seq, o.edge_directions)
-
-
 def convert_orientation(g: Graph, orientation) -> tuple[object, int]:
     """Convert between the two orientation encodings.
 
@@ -260,12 +245,18 @@ def convert_orientation(g: Graph, orientation) -> tuple[object, int]:
     relates the input to the returned representative.  The identity
     vertex order with stored directions and the sorted-flag cyclic data
     are declared a matching pair of sign +1, so converting either base
-    representative yields +1 and round trips compose to +1.
+    representative yields +1 and round trips compose to +1.  Every
+    vertex's block of flags has odd size, so an edge-order orientation's
+    sign is that of its vertex order times the product of its edge
+    directions.
     """
     if isinstance(orientation, EdgeOrderOrientation):
-        identity = EdgeOrderOrientation(tuple(range(g.n)), (1,) * len(g.edges))
-        rel = _raw_sign_of_edge_order(g, orientation) * _raw_sign_of_edge_order(g, identity)
-        return _reference_cyclic(g), rel
+        if sorted(orientation.vertex_order) != list(range(g.n)):
+            raise InvalidOrientation("vertex_order is not a permutation of the labels")
+        dirs = orientation.edge_directions
+        if len(dirs) != len(g.edges) or any(d not in (1, -1) for d in dirs):
+            raise InvalidOrientation("edge_directions must be +-1 per edge")
+        return _reference_cyclic(g), perm_sign(list(orientation.vertex_order)) * prod(dirs)
     if isinstance(orientation, CyclicOrientation):
         ref = _reference_cyclic(g)
         given = dict(orientation.cyclic)
@@ -498,6 +489,20 @@ def wheel(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # welding (leg joining) via cyclic data
 
+def _restrict(g: Graph, keep: list[int]) -> tuple[Graph, dict[int, int]]:
+    """The presentation on the vertices ``keep``, relabelled in that
+    order, with the edges between them in their stored order; the map
+    sends each kept edge's old index to its new one."""
+    relabel = {v: i for i, v in enumerate(keep)}
+    edge_map: dict[int, int] = {}
+    edges = []
+    for e, (a, b) in enumerate(g.edges):
+        if a in relabel and b in relabel:
+            edge_map[e] = len(edges)
+            edges.append((relabel[a], relabel[b]))
+    return Graph(tuple(g.valences[v] for v in keep), tuple(edges)), edge_map
+
+
 def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, int]]:
     """Join legs pairwise, merging the two pendant edges of each pair.
 
@@ -509,7 +514,6 @@ def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, in
     """
     cyclic, s0 = to_cyclic(g)
     ends = [list(e) for e in g.edges]
-    edge_alive = [True] * len(ends)
     vertex_alive = [True] * g.n
     at = _incidence(g)
     leg_flag: dict[int, Flag] = {}
@@ -531,9 +535,9 @@ def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, in
         b = ends[f][1 - wf]
         if a == b:
             return None  # would be a self-loop
-        # merge: edge e survives with endpoint slot ue re-pointed at b
+        # merge: edge e survives with endpoint slot ue re-pointed at b;
+        # edge f still ends at the dead leg w, so _restrict drops it
         ends[e][ue] = b
-        edge_alive[f] = False
         vertex_alive[u] = False
         vertex_alive[w] = False
         old_flag = (f, 1 - wf)
@@ -544,23 +548,10 @@ def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, in
         else:
             leg_flag[b] = new_flag
 
-    vmap = {}
-    new_valences = []
-    for v in range(g.n):
-        if vertex_alive[v]:
-            vmap[v] = len(new_valences)
-            new_valences.append(g.valences[v])
-    emap = {}
-    new_edges = []
-    for e in range(len(ends)):
-        if edge_alive[e]:
-            emap[e] = len(new_edges)
-            new_edges.append((vmap[ends[e][0]], vmap[ends[e][1]]))
-    g2 = Graph(tuple(new_valences), tuple(new_edges))
-    cyclic2 = {
-        vmap[v]: tuple((emap[e], end) for e, end in triple)
-        for v, triple in cyc_work.items() if vertex_alive[v]
-    }
+    keep = [v for v in range(g.n) if vertex_alive[v]]
+    g2, emap = _restrict(Graph(g.valences, tuple(map(tuple, ends))), keep)
+    cyclic2 = {i: tuple((emap[e], end) for e, end in cyc_work[v])
+               for i, v in enumerate(keep) if v in cyc_work}
     s1 = from_cyclic(g2, cyclic2)
     return g2, s0 * s1
 

@@ -62,105 +62,98 @@ def _support(vec) -> list[tuple[int, Fraction]]:
     return [(i, x) for i, x in enumerate(vec) if x]
 
 
+def _validate_tables(d: int, brackets, form):
+    if len(brackets) != d or any(
+            len(row) != d or any(len(vec) != d for vec in row) for row in brackets):
+        raise InvalidAlgebra("bracket table shape does not match the form")
+    for i in range(d):
+        for j in range(d):
+            if form[i][j] != form[j][i]:
+                raise InvalidAlgebra("form is not symmetric")
+            for x, y in zip(brackets[i][j], brackets[j][i]):
+                if x != -y:
+                    raise InvalidAlgebra("brackets are not antisymmetric")
+
+
+def _lower(brackets, form) -> dict[tuple[int, int, int], Fraction]:
+    """c_{abc} = B([e_a, e_b], e_c); totally antisymmetric."""
+    out: dict[tuple[int, int, int], Fraction] = {}
+    form_rows = [_support(row) for row in form]
+    for a, row in enumerate(brackets):
+        for b, vec in enumerate(row):
+            for m, x in _support(vec):
+                for c, y in form_rows[m]:
+                    accumulate(out, (a, b, c), x * y)
+    return out
+
+
+def _validate_laws(d: int, brackets, lowered):
+    nonzero = [[_support(vec) for vec in row] for row in brackets]
+    # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
+    for a in range(d):
+        for b in range(a + 1, d):
+            for c in range(b, d):
+                total: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m, coeff in nonzero[x][y]:
+                        for t, cv in nonzero[m][z]:
+                            accumulate(total, t, coeff * cv)
+                if total:
+                    raise InvalidAlgebra(f"Jacobi fails at basis ({a},{b},{c})")
+    # invariance B([a,b],c) = B(a,[b,c]); the form being symmetric, the
+    # right side is B([b,c],a)
+    zero = Fraction(0)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                if lowered.get((a, b, c), zero) != lowered.get((b, c, a), zero):
+                    raise InvalidAlgebra(f"form not invariant at ({a},{b},{c})")
+
+
 class MetricLieAlgebra:
     """Structure constants plus an invariant form, validated on build.
 
+    One build reads the sources, checks shape and symmetry, lowers the
+    structure tensor, checks Jacobi and invariance, inverts the form,
+    and only then publishes ``brackets``, ``form``, ``lowered`` and
+    ``form_inv`` together: a failed build leaves none of them behind.
     ``rank`` N marks an algebra whose weight on every graph with vertices
     is the gl(N) ribbon polynomial at N; ``weight`` then evaluates that
-    polynomial instead of contracting.  Such an algebra builds and
-    validates its tables when one of them is first read, and
-    ``brackets`` and ``form`` may then be functions returning the
-    tables; a function form needs the dimension ``d``.
+    polynomial instead of contracting.  Such an algebra builds when one
+    of its tables is first read, and ``brackets`` and ``form`` may then
+    be functions returning the tables; a function form needs the
+    dimension ``d``.
     """
 
-    def __init__(self, name: str, brackets, form, validate: bool = True,
+    def __init__(self, name: str, brackets, form,
                  rank: int | None = None, d: int | None = None):
         self.name = name
         self.rank = rank
         self.d = len(form) if d is None else d
-        self._source = (brackets, form, validate)
+        self._source = (brackets, form)
         if rank is None:
             self._build()
 
     def __getattr__(self, attr):
-        tables = ("brackets", "form", "lowered", "form_inv")
-        if attr in tables and "_source" in vars(self):
-            try:
-                self._build()
-            except InvalidAlgebra:
-                # no half-built tables: the next read fails the same way
-                for name in tables:
-                    vars(self).pop(name, None)
-                raise
+        if attr in ("brackets", "form", "lowered", "form_inv") and "_source" in vars(self):
+            self._build()
             return getattr(self, attr)
         raise AttributeError(attr)
 
     def _build(self):
-        brackets, form, validate = self._source
-        self.brackets = tuple(
-            tuple(tuple(Fraction(x) for x in vec) for vec in row)
-            for row in (brackets() if callable(brackets) else brackets))
-        self.form = tuple(tuple(Fraction(x) for x in row)
-                          for row in (form() if callable(form) else form))
-        if validate:
-            self._validate_tables()
-        self.lowered = self._lower()
-        if validate:
-            self._validate_laws()
-        self.form_inv = _invert(self.form)
+        brackets, form = (src() if callable(src) else src for src in self._source)
+        brackets = tuple(tuple(tuple(Fraction(x) for x in vec) for vec in row)
+                         for row in brackets)
+        form = tuple(tuple(Fraction(x) for x in row) for row in form)
+        _validate_tables(self.d, brackets, form)
+        lowered = _lower(brackets, form)
+        _validate_laws(self.d, brackets, lowered)
+        vars(self).update(brackets=brackets, form=form, lowered=lowered,
+                          form_inv=_invert(form))
         del self._source
 
     def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
         return self.brackets[a][b]
-
-    def _validate_tables(self):
-        d = self.d
-        if len(self.brackets) != d or any(
-                len(row) != d or any(len(vec) != d for vec in row)
-                for row in self.brackets):
-            raise InvalidAlgebra("bracket table shape does not match the form")
-        for i in range(d):
-            for j in range(d):
-                if self.form[i][j] != self.form[j][i]:
-                    raise InvalidAlgebra("form is not symmetric")
-                for x, y in zip(self.brackets[i][j], self.brackets[j][i]):
-                    if x != -y:
-                        raise InvalidAlgebra("brackets are not antisymmetric")
-
-    def _validate_laws(self):
-        d = self.d
-        nonzero = [[_support(vec) for vec in row] for row in self.brackets]
-        # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
-        for a in range(d):
-            for b in range(a + 1, d):
-                for c in range(b, d):
-                    total: dict[int, Fraction] = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for m, coeff in nonzero[x][y]:
-                            for t, cv in nonzero[m][z]:
-                                accumulate(total, t, coeff * cv)
-                    if total:
-                        raise InvalidAlgebra(f"Jacobi fails at basis ({a},{b},{c})")
-        # invariance B([a,b],c) = B(a,[b,c]); the form being symmetric, the
-        # right side is B([b,c],a)
-        zero = Fraction(0)
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    if (self.lowered.get((a, b, c), zero)
-                            != self.lowered.get((b, c, a), zero)):
-                        raise InvalidAlgebra(f"form not invariant at ({a},{b},{c})")
-
-    def _lower(self) -> dict[tuple[int, int, int], Fraction]:
-        """c_{abc} = B([e_a, e_b], e_c); totally antisymmetric."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        form_rows = [_support(row) for row in self.form]
-        for a, row in enumerate(self.brackets):
-            for b, vec in enumerate(row):
-                for m, x in _support(vec):
-                    for c, y in form_rows[m]:
-                        accumulate(out, (a, b, c), x * y)
-        return out
 
     def with_form_scaled(self, factor) -> "MetricLieAlgebra":
         q = Fraction(factor)
@@ -267,9 +260,11 @@ def _trivalent_cyclic(g: Graph) -> tuple[dict[int, tuple], int]:
     return to_cyclic(g)
 
 
+@cache
 def gl_polynomial(g: Graph) -> dict[int, int]:
     """The gl(N) weight of a trivalent presentation as {f: coefficient of
-    N^f}, zero coefficients dropped.
+    N^f}, zero coefficients dropped.  Cached per presentation, like
+    canonical_form: callers must not mutate the returned dict.
 
     With the trace form f_abc = tr(a[b,c]) = tr(abc) - tr(acb), so each
     vertex is the signed sum of its two cyclic orders and the weight is a
@@ -354,6 +349,6 @@ def _contract(L: MetricLieAlgebra, g: Graph,
 
 def weight_vector(L: MetricLieAlgebra, v: GraphVector) -> Fraction:
     total = Fraction(0)
-    for g, coeff in v.items():
+    for g, coeff in v.terms.items():
         total += coeff * weight(L, g)
     return total

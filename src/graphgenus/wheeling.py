@@ -234,22 +234,14 @@ def bridge_identity(k: int) -> BridgeReport:
     """Wheel coefficients against the even-log-exponential genus side.
 
     Both sides are stated with the common factor (8 pi^2)^-k / k! of
-    wheel_char_weight divided out: the left side sums, over weight-k
-    wheel partitions, the wheeled-exponential coefficient times (-1)^m
-    times the s monomial; the right side is the weight-2k part of
+    wheel_char_weight divided out, which leaves its sign (-1)^m: the
+    left side sums, over the weight-k wheel partitions (k_1, ..., k_m),
+    (-1)^m times the wheeled-exponential coefficient times
+    s_{2k_1} ... s_{2k_m}; the right side is the weight-2k part of
     exp(-sum b_{2n} s_{2n}).
     """
     check_bound(k)
-    om = omega(k)
-    scale_back = PiScalar.of(8 ** k * math.factorial(k), k)
-    lhs = ChernPolynomial.zero("s")
-    for parts, coeff in om.partition_terms:
-        if sum(parts) != k:
-            continue
-        w_scalar, w_poly = wheel_char_weight(parts)
-        folded = w_scalar * scale_back
-        if folded.pi2 != 0:
-            raise WheelingError("normalization did not cancel the pi grade")
-        lhs = lhs + coeff * Fraction(folded.coef) * w_poly
+    lhs = ChernPolynomial("s", {tuple(2 * n for n in parts): (-1) ** len(parts) * coeff
+                                for parts, coeff, _ in _weight_terms(k, b_coefficients(k))})
     rhs = genus_in_power_sums(sqrt_ahat_series(2 * k), k)
     return BridgeReport(k, lhs, rhs, lhs == rhs)

@@ -428,3 +428,31 @@ def test_rank_algebra_validates_on_first_read():
     base = sl2()
     lazy = MetricLieAlgebra("lazy", lambda: base.brackets, base.form, rank=2)
     assert lazy.lowered == base.lowered
+
+
+def test_failed_build_publishes_no_table():
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, vec in ((0, 1, (0, 0, 1)), (1, 2, (0, 1, 0))):
+        table[a][b] = list(vec)
+        table[b][a] = [-x for x in vec]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    L = MetricLieAlgebra("bad", table, identity, rank=3)
+    with pytest.raises(InvalidAlgebra, match="Jacobi fails"):
+        L.lowered
+    assert not {"brackets", "form", "lowered", "form_inv"} & set(vars(L))
+
+
+def test_repeated_weights_reuse_the_cached_polynomials():
+    relations = [rel for k in range(4) for rel in ihx_relations(k).relations]
+    algebras = [builtin(name) for name in ("sl2", "gl2", "gl3")]
+
+    def one_pass():
+        for L in algebras:
+            for rel in relations:
+                assert weight_vector(L, rel) == 0
+
+    one_pass()
+    before = gl_polynomial.cache_info()
+    one_pass()
+    after = gl_polynomial.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits

@@ -257,6 +257,13 @@ def test_bridge_identity_holds():
         assert rep.lhs == rep.rhs
 
 
+def test_bridge_identity_canonicalizes_nothing():
+    canonical_form.cache_clear()
+    for k in (0, 1, 2, 3):
+        bridge_identity(k)
+    assert canonical_form.cache_info().misses == 0
+
+
 def test_bridge_sides_frozen():
     rep = bridge_identity(1)
     assert rep.lhs == ChernPolynomial("s", {(2,): F(-1, 48)})
