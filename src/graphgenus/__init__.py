@@ -36,8 +36,7 @@ from .hk_analysis import (
     validate,
 )
 from .lie_oracle import (
-    InvalidAlgebra, MetricLieAlgebra, NotTrivalent, OracleError, UnknownName,
-    abelian, builtin, gl, sl2, weight, weight_vector,
+    NotTrivalent, OracleError, UnknownName, builtin, weight, weight_vector,
 )
 
 __version__ = "0.1.0"

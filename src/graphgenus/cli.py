@@ -169,9 +169,9 @@ def _run(args) -> int:
         return 0 if report.all_pass else 1
 
     if args.command == "oracle":
-        L = builtin(args.algebra)
+        N = builtin(args.algebra)
         v = parse_vector(_read(args.file))
-        out.write(f"{weight_vector(L, v)}\n")
+        out.write(f"{weight_vector(N, v)}\n")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -231,10 +231,10 @@ def test_c09_oracle_annihilation():
             "gl(2) and gl(3) weights kill every relation through degree 2 "
             "and certify dimension 1", limit=120.0):
         for name in ("gl2", "gl3"):
-            L = builtin(name)
+            N = builtin(name)
             for k in (1, 2):
                 for rel in ihx_relations(k).relations:
-                    assert weight_vector(L, rel) == 0
+                    assert weight_vector(N, rel) == 0
         assert weight(builtin("gl2"), theta()) == 12 != 0
         assert dimension(1) == 1
 

@@ -254,10 +254,13 @@ def test_negative_genus_degree():
 
 
 def test_unknown_algebra():
-    code, _, err = run_cli(["oracle", "--algebra", "e8",
-                            str(DATA / "theta_vector.txt")])
-    assert code == 2
-    assert err == "UnknownName: no built-in algebra named 'e8'\n"
+    theta_vector = str(DATA / "theta_vector.txt")
+    for name in ("e8", "gl²", "abelian(¹)", "gl(" + "9" * 5000 + ")"):
+        code, out, err = run_cli(["oracle", "--algebra", name, theta_vector])
+        assert (code, out) == (2, "")
+        assert err == f"UnknownName: no built-in algebra named {name!r}\n"
+    # decimal digits of any script name a rank
+    assert run_cli(["oracle", "--algebra", "gl(٣)", theta_vector]) == (0, "48\n", "")
 
 
 def test_relation_index_out_of_range():

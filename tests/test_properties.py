@@ -6,11 +6,12 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphgenus.cli import CHERN_FLAGS, main as cli_main
 from graphgenus.graph_algebra import GraphVector, add, scale
@@ -103,4 +104,32 @@ def test_analyze_exits_0_1_or_2_and_never_raises(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
+# any digit-like character in an algebra name, superscripts included
+names = st.one_of(
+    st.text(max_size=12),
+    st.builds("{}{}{}{}".format, st.sampled_from(["gl", "GL ", "sl", "abelian"]),
+              st.sampled_from(["", "("]),
+              st.text(st.characters(categories=("Nd", "No")), max_size=4),
+              st.sampled_from(["", ")"])),
+)
+THETA_VECTOR = str(Path(__file__).resolve().parent / "data" / "theta_vector.txt")
+
+
+@settings(deadline=None, max_examples=200)
+@example("gl²")
+@given(names)
+def test_oracle_algebra_exits_0_or_2_and_never_raises(name):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(["oracle", f"--algebra={name}", THETA_VECTOR])
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        # the vector is valid, so the one failure is the typed unknown name
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("UnknownName: ")
         assert err.getvalue().count("\n") == 1
