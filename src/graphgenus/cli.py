@@ -13,7 +13,7 @@ import sys
 from .scalars import parse_pi_scalar, parse_rational
 from .graph_core import GraphParseError, canonical_form, format_oriented, parse_graph
 from .graph_algebra import (
-    AlgebraError, dimension, format_vector, ihx_relations,
+    AlgebraError, DegreeMismatch, dimension, format_vector, ihx_relations,
     parse_vector, reduce as ihx_reduce,
 )
 from .wheeling import omega, wheeling_check
@@ -93,9 +93,14 @@ def _read(path: str) -> str:
 
 def _chern_data(args) -> ChernData:
     values = {}
-    for name, mono in CHERN_FLAGS.get(args.k, ()):
-        raw = getattr(args, name)
-        if raw is not None:
+    for k, flags in CHERN_FLAGS.items():
+        for name, mono in flags:
+            raw = getattr(args, name)
+            if raw is None:
+                continue
+            if k != args.k:
+                raise DegreeMismatch(
+                    f"--{name} is a degree-{k} Chern number, but --k is {args.k}")
             values[mono] = parse_rational(raw)
     return ChernData(args.k, values)
 

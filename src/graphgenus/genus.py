@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Mapping, Optional
 
-from .graph_algebra import DegreeMismatch, degree_bound
+from .graph_algebra import DegreeMismatch
 from .scalars import Combination, accumulate, graded_exp, graded_log
 
 Monomial = tuple[int, ...]
@@ -50,10 +50,6 @@ class OrderMismatch(SeriesError):
 
 class MissingMonomial(ValueError):
     pass
-
-
-def default_order() -> int:
-    return 2 * degree_bound() + 2
 
 
 class CharPowerSeries:
@@ -164,24 +160,18 @@ def sinh_half_over_half(order: int) -> CharPowerSeries:
     return sinh_over_x(order).compose_scale(Fraction(1, 2))
 
 
-def ahat_series(order: Optional[int] = None) -> CharPowerSeries:
+def ahat_series(order: int) -> CharPowerSeries:
     """(x/2)/sinh(x/2)."""
-    if order is None:
-        order = default_order()
     return sinh_half_over_half(order).inverse()
 
 
-def sqrt_ahat_series(order: Optional[int] = None) -> CharPowerSeries:
+def sqrt_ahat_series(order: int) -> CharPowerSeries:
     """((x/2)/sinh(x/2))^{1/2}."""
-    if order is None:
-        order = default_order()
     return ahat_series(order).sqrt()
 
 
-def todd_series(order: Optional[int] = None) -> CharPowerSeries:
+def todd_series(order: int) -> CharPowerSeries:
     """x/(1 - e^{-x}), via inverting (1-e^{-x})/x = sum (-x)^n/(n+1)!."""
-    if order is None:
-        order = default_order()
     coeffs = [Fraction((-1) ** n, math.factorial(n + 1)) for n in range(order + 1)]
     return CharPowerSeries(coeffs, order).inverse()
 
@@ -369,18 +359,17 @@ def _genus(Q: CharPowerSeries, k: int, symbol: str,
     return L.exp_truncated(2 * k).homogeneous(2 * k)
 
 
-def genus_in_power_sums(Q: CharPowerSeries, k: int,
-                        odd_vanish: bool = True) -> ChernPolynomial:
-    """Weight-2k part of exp(sum_j q_j s_j), kept in the s variables."""
+def genus_in_power_sums(Q: CharPowerSeries, k: int) -> ChernPolynomial:
+    """Weight-2k part of exp(sum_j q_j s_j), kept in the s variables,
+    with the odd power sums set to zero."""
     return _genus(Q, k, "s", lambda j: (
-        ChernPolynomial.zero("s") if odd_vanish and j % 2
-        else ChernPolynomial.variable("s", j)))
+        ChernPolynomial.zero("s") if j % 2 else ChernPolynomial.variable("s", j)))
 
 
-def genus_polynomial(Q: CharPowerSeries, k: int,
-                     odd_vanish: bool = True) -> ChernPolynomial:
-    """The real-degree-4k genus polynomial in Chern classes."""
-    return _genus(Q, k, "c", lambda j: power_sum_in_chern(j, odd_vanish))
+def genus_polynomial(Q: CharPowerSeries, k: int) -> ChernPolynomial:
+    """The real-degree-4k genus polynomial in Chern classes, with the odd
+    classes set to zero."""
+    return _genus(Q, k, "c", lambda j: power_sum_in_chern(j, odd_vanish=True))
 
 
 @dataclass(frozen=True)
@@ -389,9 +378,9 @@ class Genus:
     series: Callable[[int], CharPowerSeries]
 
     @cache
-    def polynomial(self, k: int, odd_vanish: bool = True) -> ChernPolynomial:
+    def polynomial(self, k: int) -> ChernPolynomial:
         # a negative k builds an order-0 series and _genus rejects it
-        return genus_polynomial(self.series(max(2 * k, 0)), k, odd_vanish)
+        return genus_polynomial(self.series(max(2 * k, 0)), k)
 
 
 def builtin_genera() -> dict[str, Genus]:

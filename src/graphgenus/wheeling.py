@@ -17,6 +17,7 @@ normalization, so pairing and gluing stay purely graphical.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,37 +60,28 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
 class OmegaTruncation:
     """Wheeled exponential cut at total wheel weight k."""
     k: int
-    vector: GraphVector
     b_table: dict[int, Fraction]
     # (ascending wheel-weight partition, exact coefficient), sorted by
     # (total weight, partition); () is the empty-graph term
     partition_terms: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
-def _weight_terms(weight: int, b: dict[int, Fraction]):
-    """(ascending wheel-weight partition, coefficient, wheel product
-    presentation) for every wheeled-exponential term of one weight, in
-    partition order: the weight-2*weight part of exp(sum_n b_2n s_2n),
-    where the commuting s_2n stand for the wheels w_2n."""
-    exponent = ChernPolynomial("s", {(n,): c for n, c in b.items()})
-    for mono, coeff in exponent.exp_truncated(2 * weight).homogeneous(2 * weight).items():
-        parts = tuple(n // 2 for n in mono)
-        g = Graph((), ())
-        for n in parts:
-            g = concat(g, wheel(2 * n))
-        yield parts, coeff, g
-
-
 def omega(k: int) -> OmegaTruncation:
+    """The terms of exp(sum_n b_2n s_2n) through weight 2k, where the
+    commuting s_2n stand for the wheels w_2n: one exponential, and no
+    wheel product is built or canonicalized."""
     check_bound(k)
     b = b_coefficients(max(k, 1))
-    vec = GraphVector.zero()
-    terms: list[tuple[tuple[int, ...], Fraction]] = []
-    for weight in range(k + 1):
-        for parts, coeff, g in _weight_terms(weight, b):
-            vec.add_presentation(g, coeff)
-            terms.append((parts, coeff))
-    return OmegaTruncation(k, vec, b, tuple(terms))
+    exponent = ChernPolynomial("s", {(n,): c for n, c in b.items()})
+    terms = [(tuple(n // 2 for n in mono), coeff)
+             for mono, coeff in exponent.exp_truncated(2 * k).items()]
+    terms.sort(key=lambda term: (sum(term[0]), term[0]))
+    return OmegaTruncation(k, b, tuple(terms))
+
+
+def _wheel_product(parts) -> Graph:
+    """The disjoint union of the wheels w_2n, n in parts, as presented."""
+    return functools.reduce(concat, (wheel(2 * n) for n in parts), Graph((), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +181,8 @@ def wheeling_check(k: int) -> WheelingReport:
     the glued side is 2^k k! times pair_spokes of that part.  The wheel
     products are paired as presented, never canonicalized.
     """
-    check_bound(k)
-    spokes = ((g, c) for _, c, g in _weight_terms(k, b_coefficients(k)))
+    spokes = ((_wheel_product(parts), c) for parts, c in omega(k).partition_terms
+              if sum(parts) == k)
     lhs = _pair_presentations(spokes) * (2 ** k * math.factorial(k))
     rhs = power(theta_vector() * Fraction(1, 24), k)
     diff = lhs - rhs
@@ -240,8 +232,8 @@ def bridge_identity(k: int) -> BridgeReport:
     s_{2k_1} ... s_{2k_m}; the right side is the weight-2k part of
     exp(-sum b_{2n} s_{2n}).
     """
-    check_bound(k)
     lhs = ChernPolynomial("s", {tuple(2 * n for n in parts): (-1) ** len(parts) * coeff
-                                for parts, coeff, _ in _weight_terms(k, b_coefficients(k))})
+                                for parts, coeff in omega(k).partition_terms
+                                if sum(parts) == k})
     rhs = genus_in_power_sums(sqrt_ahat_series(2 * k), k)
     return BridgeReport(k, lhs, rhs, lhs == rhs)

@@ -107,6 +107,21 @@ def test_degree_bound_enforced():
     assert err == "BoundExceeded: degree 9 exceeds the configured bound 3\n"
 
 
+@pytest.mark.parametrize("argv, flag, degree", [
+    (["--k", "1", "--c2", "24", "--c4", "5", "--c2cube", "7"], "c4", 2),
+    (["--k", "1", "--c2", "24", "--c6", "7"], "c6", 3),
+    (["--k", "2", "--c2sq", "828", "--c4", "324", "--c2", "24"], "c2", 1),
+    (["--k", "2", "--c2sq", "828", "--c4", "324", "--c2c4", "1"], "c2c4", 3),
+    (["--k", "3", "--c2cube", "1", "--c2c4", "1", "--c6", "1", "--c2sq", "1"], "c2sq", 2),
+    (["--k", "3", "--c4", "1"], "c4", 2),
+])
+def test_chern_flag_of_another_degree_exits_2(argv, flag, degree):
+    k = argv[1]
+    code, out, err = run_cli(["analyze", "--vol", "1"] + argv)
+    assert (code, out) == (2, "")
+    assert err == f"DegreeMismatch: --{flag} is a degree-{degree} Chern number, but --k is {k}\n"
+
+
 def test_bad_volume_string():
     code, _, err = run_cli(["analyze", "--k", "1", "--vol", "banana",
                             "--c2", "24"])

@@ -14,7 +14,7 @@ import pytest
 from graphgenus.genus import (
     BadConstantTerm, CharPowerSeries, ChernData, ChernPolynomial,
     DegreeMismatch, MissingMonomial, OrderMismatch, SeriesError, ahat_series,
-    builtin_genera, chern_in_power_sums, default_order, even_monomials,
+    builtin_genera, chern_in_power_sums, even_monomials,
     evaluate, genus_in_power_sums, genus_polynomial,
     genus_polynomial_pontryagin, log_coefficients, newton_convert,
     pontryagin_from_chern, power_sum_in_chern, sinh_half_over_half,
@@ -266,7 +266,7 @@ def test_genus_multiplicative_on_root_unions():
     # Whitney sums: the weight-2k value over a union of symmetric root
     # sets is the convolution of the factors' values
     rng = random.Random(15)
-    Q = ahat_series(default_order())
+    Q = ahat_series(8)
     for _ in range(6):
         xs = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(2)]
         ys = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(2)]
@@ -296,7 +296,7 @@ def drop_odd_chern(p: ChernPolynomial) -> ChernPolynomial:
 def test_genus_in_power_sums_consistent():
     # Newton conversion is an identity in every Chern class; killing the
     # odd ones afterwards must land on the odd-vanish polynomial
-    Q = sqrt_ahat_series(default_order())
+    Q = sqrt_ahat_series(8)
     for k in (1, 2, 3):
         s_form = genus_in_power_sums(Q, k)
         assert s_form.symbol == "s"
@@ -361,7 +361,7 @@ def test_pontryagin_from_chern_frozen():
 
 
 def test_pontryagin_route_matches_chern_route():
-    Q = ahat_series(default_order())
+    Q = ahat_series(8)
     for k in (1, 2, 3):
         p_form = genus_polynomial_pontryagin(Q, k)
         assert p_form.symbol == "p"
@@ -371,7 +371,7 @@ def test_pontryagin_route_matches_chern_route():
 
 
 def test_pontryagin_frozen_ahat():
-    Q = ahat_series(default_order())
+    Q = ahat_series(8)
     assert genus_polynomial_pontryagin(Q, 1) == poly("p", {(1,): F(-1, 24)})
     assert genus_polynomial_pontryagin(Q, 2) == \
         poly("p", {(1, 1): F(7, 5760), (2,): F(-1, 1440)})
@@ -379,7 +379,7 @@ def test_pontryagin_frozen_ahat():
 
 def test_pontryagin_requires_even_series():
     with pytest.raises(Exception):
-        genus_polynomial_pontryagin(todd_series(default_order()), 1)
+        genus_polynomial_pontryagin(todd_series(8), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +419,6 @@ def test_evaluate_rejects_mixed_degree():
 
 def test_evaluate_rejects_wrong_symbol():
     data = ChernData.for_k1(F(24))
-    p_form = genus_polynomial_pontryagin(ahat_series(default_order()), 1)
+    p_form = genus_polynomial_pontryagin(ahat_series(8), 1)
     with pytest.raises(Exception):
         evaluate(p_form, data)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,13 +19,13 @@ from graphgenus.graph_algebra import (
 )
 from graphgenus.graph_core import Graph, canonical_form, concat, line, theta, wheel
 from graphgenus.genus import (
-    ChernPolynomial, default_order, genus_in_power_sums, log_coefficients,
+    ChernPolynomial, genus_in_power_sums, log_coefficients,
     sqrt_ahat_series,
 )
 from graphgenus.scalars import PiScalar
 from graphgenus.wheeling import (
     BadPartition, OddLegCount, b_coefficients, bridge_identity, glue_hat,
-    _pair_presentations, _weight_terms, line_power, line_vector, omega,
+    _pair_presentations, _wheel_product, line_power, line_vector, omega,
     pair_spokes, wheel_char_weight, wheeling_check,
 )
 from conftest import represent
@@ -95,9 +96,43 @@ def test_omega_three_extends_table():
     assert terms[(3,)] == F(1, 362880)
 
 
+def omega_vector(k: int) -> GraphVector:
+    """omega(k) as a canonical graph vector, built from its table: the
+    canonicalizing route that omega itself does not take."""
+    v = GraphVector.zero()
+    for parts, coeff in omega(k).partition_terms:
+        v.add_presentation(_wheel_product(parts), coeff)
+    return v
+
+
+def ascending_partitions(n: int, smallest: int = 1):
+    """Ascending partitions of n with parts >= smallest, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(smallest, n + 1):
+        for rest in ascending_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_omega_table_matches_closed_form(monkeypatch):
+    # the coefficient of prod_n w_2n^(m_n) is prod_n b_2n^(m_n) / m_n!,
+    # and the rows run by total weight, then by partition
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "6")
+    b = independent_b(6)
+    for k in range(7):
+        expected = []
+        for w in range(k + 1):
+            for parts in ascending_partitions(w):
+                coeff = F(1)
+                for n, m in Counter(parts).items():
+                    coeff *= b[2 * n] ** m / math.factorial(m)
+                expected.append((parts, coeff))
+        assert omega(k).partition_terms == tuple(expected)
+
+
 def test_omega_vector_realizes_partitions():
-    om = omega(2)
-    v = om.vector
+    v = omega_vector(2)
     assert v.coefficient(Graph((), ())) == 1
     assert v.coefficient(wheel(2)) == F(1, 48)
     assert v.coefficient(wheel(4)) == F(-1, 5760)
@@ -106,7 +141,7 @@ def test_omega_vector_realizes_partitions():
 
 
 def test_omega_truncation_is_nested():
-    v2, v3 = omega(2).vector, omega(3).vector
+    v2, v3 = omega_vector(2), omega_vector(3)
     for g, c in v2.items():
         assert v3.coefficient(g) == c
 
@@ -146,7 +181,7 @@ def test_glue_skips_oversized_inputs():
 
 
 def test_glue_omega_into_single_line():
-    got = glue_hat(omega(1).vector, line_vector())
+    got = glue_hat(omega_vector(1), line_vector())
     assert got == line_vector() + theta_vector() * F(1, 24)
 
 
@@ -198,7 +233,7 @@ def test_wheeling_degree_two_needs_reduction():
 
 def test_wheeling_lhs_matches_direct_computation():
     # reassemble the degree-2 left side by hand
-    lhs = trivalent_part(glue_hat(omega(2).vector, line_power(2)))
+    lhs = trivalent_part(glue_hat(omega_vector(2), line_power(2)))
     rhs = power(theta_vector() * F(1, 24), 2)
     diff = lhs - rhs
     assert diff  # nonzero before reduction
@@ -206,13 +241,14 @@ def test_wheeling_lhs_matches_direct_computation():
 
 
 def test_presented_wheel_products_pair_like_their_canonical_forms(monkeypatch):
-    # wheeling_check pairs the weight-k products as built, omega holds
-    # their canonical presentations
+    # wheeling_check pairs the weight-k products as built, omega_vector
+    # holds their canonical presentations
     monkeypatch.setenv("GRAPHGENUS_MAX_K", "4")
     for k in range(5):
-        canonical = GraphVector({g: c for g, c in omega(k).vector.items()
+        canonical = GraphVector({g: c for g, c in omega_vector(k).items()
                                  if len(g.legs()) == 2 * k})
-        presented = [(g, c) for _, c, g in _weight_terms(k, b_coefficients(k))]
+        presented = [(_wheel_product(parts), c) for parts, c in omega(k).partition_terms
+                     if sum(parts) == k]
         assert len(presented) == len(canonical.items())
         assert _pair_presentations(presented) == pair_spokes(canonical)
 
@@ -261,6 +297,7 @@ def test_bridge_identity_canonicalizes_nothing():
     canonical_form.cache_clear()
     for k in (0, 1, 2, 3):
         bridge_identity(k)
+        omega(k)
     assert canonical_form.cache_info().misses == 0
 
 
@@ -276,4 +313,4 @@ def test_bridge_rhs_is_the_genus_side():
     for k in (1, 2):
         rep = bridge_identity(k)
         assert rep.rhs == genus_in_power_sums(
-            sqrt_ahat_series(max(default_order(), 2 * k)), k)
+            sqrt_ahat_series(max(8, 2 * k)), k)
