@@ -36,7 +36,8 @@ from .hk_analysis import (
     validate,
 )
 from .lie_oracle import (
-    NotTrivalent, OracleError, UnknownName, builtin, weight, weight_vector,
+    NotTrivalent, OracleError, UnknownName, WeightTooLarge, builtin, weight,
+    weight_vector,
 )
 
 __version__ = "0.1.0"

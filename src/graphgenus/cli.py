@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .scalars import parse_pi_scalar, parse_rational
 from .graph_core import GraphParseError, canonical_form, format_oriented, parse_graph
@@ -19,7 +20,7 @@ from .graph_algebra import (
 from .wheeling import omega, wheeling_check
 from .genus import ChernData, _power_product, builtin_genera
 from .hk_analysis import ManifoldData, validate
-from .lie_oracle import builtin, weight_vector
+from .lie_oracle import WeightTooLarge, builtin, weight_vector
 
 SERIES_NAMES = {"ahat": "ahat", "todd": "todd", "sqrt-ahat": "sqrt_ahat"}
 
@@ -30,7 +31,11 @@ CHERN_FLAGS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Sharing it is safe: parse_args
+    returns a fresh Namespace on every call, and argparse writes usage
+    errors to whatever sys.stderr is at that moment."""
     p = argparse.ArgumentParser(
         prog="graphgenus",
         description="oriented trivalent graph homology, wheels, genera, "
@@ -176,7 +181,14 @@ def _run(args) -> int:
     if args.command == "oracle":
         N = builtin(args.algebra)
         v = parse_vector(_read(args.file))
-        out.write(f"{weight_vector(N, v)}\n")
+        w = weight_vector(N, v)
+        try:
+            text = str(w)
+        except ValueError as exc:  # Python's int-to-str digit limit
+            raise WeightTooLarge(
+                f"the weight has more than {sys.get_int_max_str_digits()} "
+                "digits, Python's limit for printing an integer") from exc
+        out.write(text + "\n")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

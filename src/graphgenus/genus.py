@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .graph_algebra import DegreeMismatch
 from .scalars import Combination, accumulate, graded_exp, graded_log
@@ -372,8 +371,9 @@ def genus_polynomial(Q: CharPowerSeries, k: int) -> ChernPolynomial:
     return _genus(Q, k, "c", lambda j: power_sum_in_chern(j, odd_vanish=True))
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(NamedTuple):
+    """A named genus; equal genera share ``polynomial``'s cache."""
+
     name: str
     series: Callable[[int], CharPowerSeries]
 

@@ -27,10 +27,11 @@ one report it so callers can drop the term as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
+
+from .scalars import read_only
 
 Flag = tuple[int, int]
 
@@ -83,9 +84,9 @@ def perm_sign(perm: list[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Unitrivalent multigraph presentation (labels = vertex order)."""
+class Graph(NamedTuple):
+    """Unitrivalent multigraph presentation (labels = vertex order); a
+    named tuple, so it compares and hashes as (valences, edges)."""
 
     valences: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -212,16 +213,14 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
     return _expansion_sign(vertex_seq)
 
 
-@dataclass(frozen=True)
-class EdgeOrderOrientation:
+class EdgeOrderOrientation(NamedTuple):
     """Vertex ordering plus a direction (+1 stored / -1 reversed) per edge."""
 
     vertex_order: tuple[int, ...]
     edge_directions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CyclicOrientation:
+class CyclicOrientation(NamedTuple):
     """Cyclic flag orders at trivalent vertices plus a univalent ordering.
 
     The univalent ordering is carried for round trips only; univalent
@@ -282,7 +281,6 @@ def convert_orientation(g: Graph, orientation) -> tuple[object, int]:
 # canonical form
 
 
-@dataclass(frozen=True)
 class OrientedGraph:
     """Canonical presentation plus the sign relating the input to it.
 
@@ -290,13 +288,31 @@ class OrientedGraph:
     automorphism: its class is zero in the homology.  ``automorphisms``
     holds vertex permutations of ``graph`` (tau[v] is the image of v)
     that the canonical search met on its way; they need not generate
-    the whole group, and they take no part in equality or hashing.
+    the whole group, and they take no part in equality, hashing or repr.
     """
 
-    graph: Graph
-    sign_state: int
-    automorphisms: frozenset[tuple[int, ...]] = field(
-        default=frozenset(), compare=False, repr=False)
+    __slots__ = ("graph", "sign_state", "automorphisms")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, graph: Graph, sign_state: int,
+                 automorphisms: frozenset[tuple[int, ...]] = frozenset()):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "sign_state", sign_state)
+        object.__setattr__(self, "automorphisms", automorphisms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.sign_state) == (other.graph, other.sign_state)
+
+    def __hash__(self):
+        return hash((self.graph, self.sign_state))
+
+    def __repr__(self):
+        return f"OrientedGraph(graph={self.graph!r}, sign_state={self.sign_state!r})"
+
+    def __reduce__(self):
+        return OrientedGraph, (self.graph, self.sign_state, self.automorphisms)
 
 
 @cache

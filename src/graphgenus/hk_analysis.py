@@ -18,11 +18,10 @@ report carries a note saying they are not asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .scalars import PiScalar
+from .scalars import PiScalar, read_only
 from .genus import ChernData, builtin_genera, evaluate
 
 
@@ -38,23 +37,37 @@ class MissingNorm(AnalysisError):
     pass
 
 
-@dataclass(frozen=True)
 class ManifoldData:
-    k: int
-    chern: ChernData
-    volume: PiScalar
-    norm_R_sq: Optional[PiScalar] = None
-    irreducible: bool = True
+    """The inputs of an analysis, checked on construction; immutable."""
 
-    def __post_init__(self):
+    __slots__ = ("k", "chern", "volume", "norm_R_sq", "irreducible")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, k: int, chern: ChernData, volume: PiScalar,
+                 norm_R_sq: Optional[PiScalar] = None, irreducible: bool = True):
         # ChernData refuses k < 1, so this also refuses a k below 1
-        if self.chern.k != self.k:
-            raise ValueError(
-                f"Chern data is degree {self.chern.k}, manifold has k={self.k}")
-        if self.volume.coef <= 0:
+        if chern.k != k:
+            raise ValueError(f"Chern data is degree {chern.k}, manifold has k={k}")
+        if volume.coef <= 0:
             raise ValueError("volume must be positive")
-        if self.norm_R_sq is not None and self.norm_R_sq.coef < 0:
+        if norm_R_sq is not None and norm_R_sq.coef < 0:
             raise ValueError("curvature norm must not be negative")
+        for name, value in zip(self.__slots__, (k, chern, volume, norm_R_sq, irreducible)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"ManifoldData{self._values()!r}"
+
+    def __reduce__(self):
+        return ManifoldData, self._values()
 
 
 def sqrt_ahat_number(d: ManifoldData) -> Fraction:
@@ -125,8 +138,7 @@ def b_theta_via_c(d: ManifoldData) -> PiScalar:
 REPORT_KEYS = ("sqrt_ahat", "ahat", "euler", "b_theta_k", "c_theta", "norm_R_sq")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     k: int
     sqrt_ahat: Fraction
     ahat: Fraction
@@ -135,7 +147,7 @@ class AnalysisReport:
     c_theta: Optional[PiScalar]
     norm_R_sq: Optional[PiScalar]
     verdicts: tuple[tuple[str, str], ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def verdict(self, name: str) -> str:
         for key, value in self.verdicts:
@@ -176,7 +188,8 @@ def validate(d: ManifoldData) -> AnalysisReport:
     norm: Optional[PiScalar] = d.norm_R_sq
     if norm is None and sqrt_a > 0:
         norm = curvature_norm(d)
-    c = None if norm is None else c_theta(replace(d, norm_R_sq=norm))
+    c = None if norm is None else c_theta(
+        ManifoldData(d.k, d.chern, d.volume, norm, d.irreducible))
 
     if d.k == 2:
         # the two forms of the same constraint, computed independently

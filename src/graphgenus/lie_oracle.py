@@ -35,6 +35,10 @@ class NotTrivalent(OracleError):
     pass
 
 
+class WeightTooLarge(OracleError):
+    """A weight too long to print under Python's int-to-str digit limit."""
+
+
 def builtin(name: str) -> int:
     """The rank N whose gl(N) polynomial is the named algebra's weight:
     sl2 -> 2, gl(N) -> N, abelian(d) -> 1.  Accepts gl2 / gl(2)

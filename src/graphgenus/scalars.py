@@ -20,7 +20,6 @@ or +-inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 import operator
@@ -111,12 +110,29 @@ def _mixed(op, a: Fraction | float, b: Fraction | float) -> Fraction | float:
 _LN_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
-@dataclass(frozen=True)
-class PiScalar:
-    """A number coef * (pi^2)**pi2; exact when coef is a Fraction."""
+def read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable slotted classes."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
-    coef: Fraction | float
-    pi2: int = 0
+
+class PiScalar:
+    """A number coef * (pi^2)**pi2; exact when coef is a Fraction.
+
+    Immutable, and not a tuple: scalars have no order, length or
+    iteration."""
+
+    __slots__ = ("coef", "pi2")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, coef: Fraction | float, pi2: int = 0):
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "pi2", pi2)
+
+    def __repr__(self):
+        return f"PiScalar(coef={self.coef!r}, pi2={self.pi2!r})"
+
+    def __reduce__(self):
+        return PiScalar, (self.coef, self.pi2)
 
     @staticmethod
     def of(value, pi2: int = 0) -> "PiScalar":

@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .scalars import PiScalar
 from .graph_core import Graph, concat, line, weld_all, wheel
@@ -56,8 +55,7 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
     return {2 * n: series[2 * n] for n in range(1, n_max + 1)}
 
 
-@dataclass(frozen=True)
-class OmegaTruncation:
+class OmegaTruncation(NamedTuple):
     """Wheeled exponential cut at total wheel weight k."""
     k: int
     b_table: dict[int, Fraction]
@@ -163,8 +161,7 @@ def wheel_vector(n: int) -> GraphVector:
 # the main combinatorial check
 
 
-@dataclass(frozen=True)
-class WheelingReport:
+class WheelingReport(NamedTuple):
     k: int
     passed: bool
     exact: bool  # difference vanished before any IHX reduction
@@ -214,8 +211,7 @@ def wheel_char_weight(partition) -> tuple[PiScalar, ChernPolynomial]:
     return coeff, ChernPolynomial("s", {mono: Fraction(1)})
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     k: int
     lhs: ChernPolynomial  # wheel-sum side, s variables
     rhs: ChernPolynomial  # genus side, s variables

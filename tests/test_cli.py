@@ -1,14 +1,17 @@
 """End-to-end command line tests pinned to golden output files."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import graphgenus
-from graphgenus import genus, graph_algebra
+from graphgenus import cli, genus, graph_algebra
 from conftest import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -278,6 +281,16 @@ def test_unknown_algebra():
     assert run_cli(["oracle", "--algebra", "gl(٣)", theta_vector]) == (0, "48\n", "")
 
 
+def test_weight_beyond_the_print_limit_is_a_typed_error():
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["oracle", "--algebra", "gl(" + "9" * 1500 + ")",
+                              str(DATA / "theta_vector.txt")])
+    assert (code, out) == (2, "")
+    assert err == (f"WeightTooLarge: the weight has more than {limit} digits, "
+                   "Python's limit for printing an integer\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_relation_index_out_of_range():
     code, _, err = run_cli(["ihx", "emit", "--k", "2", "--index", "5"])
     assert code == 2
@@ -307,3 +320,26 @@ def test_usage_errors_exit_2(argv):
     code, _, err = run_cli(argv)
     assert code == 2
     assert "error:" in err
+
+
+def test_one_parser_serves_successive_calls():
+    assert cli.build_parser() is cli.build_parser()
+    relations = [graph_algebra.format_vector(r) + "\n"
+                 for r in graph_algebra.ihx_relations(3).relations]
+    assert len(relations) > 1
+    assert run_cli(["ihx", "emit", "--k", "3", "--index", "0"]) == (0, relations[0], "")
+    code, out, err = run_cli(["ihx", "emit", "--k", "three"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: graphgenus ihx emit") and "error:" in err
+    # no option of an earlier call leaks into a later one
+    assert run_cli(["ihx", "emit", "--k", "3"]) == (0, "".join(relations), "")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    src = Path(graphgenus.__file__).resolve().parent.parent
+    probe = ("import sys, graphgenus.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, timeout=60, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "[]\n"
