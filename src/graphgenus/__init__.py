@@ -3,25 +3,23 @@ multiplicative genera, and hyperkähler curvature-norm identities."""
 
 from .scalars import PiScalar, parse_pi_scalar
 from .graph_core import (
-    BadIndex, CyclicOrientation, EdgeOrderOrientation, Graph, GraphError,
-    GraphParseError, InvalidOrientation, OddWheel, OrientedGraph, SelfLoop,
-    ValenceMismatch, canonical_form, convert_orientation, disjoint_union,
+    BadIndex, Graph, GraphError, GraphParseError, InvalidOrientation,
+    OddWheel, OrientedGraph, SelfLoop, ValenceMismatch, canonical_form,
     empty_graph, format_graph, format_oriented, from_cyclic, is_isomorphic,
     line, make_graph, parse_graph, theta, to_cyclic, weld_all, wheel,
 )
 from .graph_algebra import (
     AlgebraError, BoundExceeded, DegreeMismatch as VectorDegreeMismatch,
-    GraphVector, RelationSet, add, coproduct, degree_bound, dimension,
+    GraphVector, RelationSet, add, degree_bound, dimension,
     enumerate_trivalent, format_vector, ihx_relations, parse_vector, power,
     product, reduce, scale, trivalent_part,
 )
 from .genus import (
     BadConstantTerm, CharPowerSeries, ChernData, ChernPolynomial,
     DegreeMismatch, Genus, MissingMonomial, OrderMismatch, SeriesError,
-    ahat_series, builtin_genera, chern_in_power_sums, evaluate,
-    genus_in_power_sums, genus_polynomial, genus_polynomial_pontryagin,
-    newton_convert, pontryagin_from_chern, power_sum_in_chern,
-    sinh_half_over_half, sinh_over_x, sqrt_ahat_series, todd_series,
+    ahat_series, builtin_genera, evaluate, genus_in_power_sums,
+    genus_polynomial, power_sum_in_chern, sinh_half_over_half, sinh_over_x,
+    sqrt_ahat_series, todd_series,
 )
 from .wheeling import (
     BadPartition, BridgeReport, OddLegCount, OmegaTruncation, WheelingError,

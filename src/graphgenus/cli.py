@@ -202,8 +202,10 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        # every package error derives from ValueError
+    except (ValueError, OSError, RecursionError) as exc:
+        # every package error derives from ValueError; the canonical
+        # search recurses once per vertex, so a large enough graph
+        # exceeds Python's recursion limit
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ prod_i Q(x_i) into symmetric functions.  One core does this for every
 presentation: with q = log Q, sum_i log Q(x_i) = sum_j q_j s_j in the
 power sums s_j, and the genus is the top-weight part of its
 exponential.  The core takes s_j in whichever basis is wanted (the s_j
-themselves, Chern classes, or Pontryagin classes), each produced by
-Newton's identities.  The exact core in ``scalars`` supplies the rest:
+themselves, or Chern classes through Newton's identities), with the odd
+classes set to zero.  The exact core in ``scalars`` supplies the rest:
 ChernPolynomial takes its module arithmetic from ``Combination``, and
 one recurrence, w E_w = sum_j j L_j E_{w-j} (``graded_exp`` and, solved
 for L, ``graded_log``), builds every exponential and log weight by
@@ -16,10 +16,9 @@ polynomial, and of the total class in Newton's identities.  All
 coefficients are Fractions; series carry an explicit truncation
 order and refuse mixed-order arithmetic.
 
-Weights are complex degrees: c_i and s_i have weight i, and the
-Pontryagin symbol p_j has weight 2j, so the real-degree-4k piece of a
-genus is the weight-2k homogeneous component in c or s and the
-weight-k component in the p indices.
+Weights are complex degrees: c_i and s_i have weight i, so the
+real-degree-4k piece of a genus is the weight-2k homogeneous component
+in c or s.
 """
 from __future__ import annotations
 
@@ -139,9 +138,6 @@ class CharPowerSeries:
         return CharPowerSeries(
             [c * q ** j for j, c in enumerate(self.coeffs)], self.order)
 
-    def is_even(self) -> bool:
-        return all(not c for j, c in enumerate(self.coeffs) if j % 2)
-
 
 def sinh_over_x(order: int) -> CharPowerSeries:
     """sinh(x)/x = sum x^{2m}/(2m+1)!."""
@@ -176,7 +172,7 @@ def todd_series(order: int) -> CharPowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# graded polynomials in c_i / s_i / p_j
+# graded polynomials in c_i / s_i
 
 
 class ChernPolynomial(Combination):
@@ -185,7 +181,7 @@ class ChernPolynomial(Combination):
     __slots__ = ()
 
     def __init__(self, symbol: str, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        if symbol not in ("c", "s", "p"):
+        if symbol not in ("c", "s"):
             raise ValueError(f"unknown symbol {symbol!r}")
         super().__init__(terms, symbol)
 
@@ -207,12 +203,8 @@ class ChernPolynomial(Combination):
     def variable(symbol: str, index: int) -> "ChernPolynomial":
         return ChernPolynomial(symbol, {(index,): Fraction(1)})
 
-    def _index_weight(self, i: int) -> int:
-        # p_j is the j-th elementary class of squared roots: weight 2j
-        return 2 * i if self.symbol == "p" else i
-
     def weight(self, mono: Monomial) -> int:
-        return sum(self._index_weight(i) for i in mono)
+        return sum(mono)
 
     def __mul__(self, other) -> "ChernPolynomial":
         if not isinstance(other, ChernPolynomial):
@@ -241,19 +233,6 @@ class ChernPolynomial(Combination):
         graded = graded_exp(parts, ChernPolynomial.zero(self.symbol),
                             ChernPolynomial.one(self.symbol))
         return sum(graded[1:], graded[0])
-
-    def substitute(self, table: Mapping[int, "ChernPolynomial"],
-                   symbol: str) -> "ChernPolynomial":
-        """Replace each variable index via table; missing index is an error."""
-        out = ChernPolynomial.zero(symbol)
-        for mono, coeff in self.terms.items():
-            part = ChernPolynomial.one(symbol) * coeff
-            for i in mono:
-                if i not in table:
-                    raise MissingMonomial(f"no substitution for index {i}")
-                part = part * table[i]
-            out = out + part
-        return out
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
@@ -286,50 +265,20 @@ def _power_product(names: Iterable[str]) -> str:
 
 
 @cache
-def _power_sum(j: int, symbol: str) -> ChernPolynomial:
-    """j-th power sum of the roots whose elementary classes are symbol_i.
+def power_sum_in_chern(j: int) -> ChernPolynomial:
+    """s_j as a polynomial in c_2, c_4, ..., c_j, the odd classes set to
+    zero (eigenvalues in opposite pairs kill them).
 
     Newton's identities: the total class prod_i (1 + x_i) has the log
-    sum_j (-1)^(j-1) s_j / j, which graded_log reads off weight by weight.
+    sum_j (-1)^(j-1) s_j / j, which graded_log reads off weight by weight;
+    setting classes to zero commutes with it.
     """
     if j < 1:
         raise ValueError("power sums are indexed from 1")
-    total = [ChernPolynomial.one(symbol)] + [
-        ChernPolynomial.variable(symbol, i) for i in range(1, j + 1)]
-    return graded_log(total, ChernPolynomial.zero(symbol))[j] * ((-1) ** (j - 1) * j)
-
-
-def power_sum_in_chern(j: int, odd_vanish: bool = False) -> ChernPolynomial:
-    """s_j as a polynomial in c_1..c_j.
-
-    With odd_vanish, monomials containing an odd index are dropped
-    (eigenvalues in opposite pairs kill all odd classes).
-    """
-    s_j = _power_sum(j, "c")
-    if not odd_vanish:
-        return s_j
-    return ChernPolynomial("c", {
-        m: c for m, c in s_j.terms.items() if all(i % 2 == 0 for i in m)})
-
-
-@cache
-def chern_in_power_sums(i: int) -> ChernPolynomial:
-    """c_i as a polynomial in s_1..s_i (Newton, inverted): the total
-    Chern class is exp(sum_m (-1)^(m-1) s_m / m)."""
-    logs = [ChernPolynomial.zero("s")] + [
-        ChernPolynomial.variable("s", m) * Fraction((-1) ** (m - 1), m)
-        for m in range(1, i + 1)]
-    return graded_exp(logs, ChernPolynomial.zero("s"), ChernPolynomial.one("s"))[i]
-
-
-def newton_convert(p: ChernPolynomial) -> ChernPolynomial:
-    """Swap between the c and s presentations of a symmetric polynomial."""
-    if p.symbol not in ("c", "s"):
-        raise ValueError("newton_convert handles the c and s symbols")
-    top = max((i for m in p.terms for i in m), default=0)
-    convert, target = ((power_sum_in_chern, "c") if p.symbol == "s"
-                       else (chern_in_power_sums, "s"))
-    return p.substitute({i: convert(i) for i in range(1, top + 1)}, target)
+    zero = ChernPolynomial.zero("c")
+    total = [ChernPolynomial.one("c")] + [
+        zero if i % 2 else ChernPolynomial.variable("c", i) for i in range(1, j + 1)]
+    return graded_log(total, zero)[j] * ((-1) ** (j - 1) * j)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +317,7 @@ def genus_in_power_sums(Q: CharPowerSeries, k: int) -> ChernPolynomial:
 def genus_polynomial(Q: CharPowerSeries, k: int) -> ChernPolynomial:
     """The real-degree-4k genus polynomial in Chern classes, with the odd
     classes set to zero."""
-    return _genus(Q, k, "c", lambda j: power_sum_in_chern(j, odd_vanish=True))
+    return _genus(Q, k, "c", power_sum_in_chern)
 
 
 class Genus(NamedTuple):
@@ -389,33 +338,6 @@ def builtin_genera() -> dict[str, Genus]:
         "todd": Genus("todd", todd_series),
         "sqrt_ahat": Genus("sqrt_ahat", sqrt_ahat_series),
     }
-
-
-# ---------------------------------------------------------------------------
-# Pontryagin presentation
-
-
-def pontryagin_from_chern(k: int) -> dict[int, ChernPolynomial]:
-    """p_j for j <= k as Chern polynomials, odd classes set to zero.
-
-    p_j is the j-th elementary symmetric function of the squared roots,
-    recovered from their power sums s_{2n} by Newton's identities.
-    """
-    ps = {n: power_sum_in_chern(2 * n, odd_vanish=True) for n in range(1, k + 1)}
-    return {j: chern_in_power_sums(j).substitute(ps, "c") for j in range(1, k + 1)}
-
-
-def genus_polynomial_pontryagin(Q: CharPowerSeries, k: int) -> ChernPolynomial:
-    """Degree-4k genus polynomial in the p_j, for an even series Q.
-
-    The p_j are the elementary classes of the squared roots, so s_{2n}
-    is their n-th power sum; p_j has weight 2j, so degree 4k is weight 2k.
-    """
-    # a bad constant term is reported by _genus, ahead of evenness
-    if Q.coeffs[0] == 1 and not Q.is_even():
-        raise SeriesError("the Pontryagin presentation needs an even series")
-    # log Q is even too, so only even j carry a nonzero q_j
-    return _genus(Q, k, "p", lambda j: _power_sum(j // 2, "p"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Vectors are stored on canonical basis graphs; inserting a presentation
 runs it through canonical_form, which applies the antisymmetry law and
 drops classes with an orientation-reversing automorphism.  The grading
 of a purely trivalent graph is half its vertex count; the product is
-disjoint union and the coproduct sums over ordered two-block splits of
-the connected components.
+disjoint union.
 
 IHX relations are generated by contracting every edge of every
 trivalent graph of a degree to a four-valent corner and expanding it in
@@ -23,9 +22,9 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _restrict, _tokenize,
+    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
-    parse_graph_block, perm_sign, theta, to_cyclic,
+    parse_graph_block, theta, to_cyclic,
 )
 from .scalars import Combination, Echelon, accumulate, parse_rational
 
@@ -132,31 +131,6 @@ def power(v: GraphVector, m: int) -> GraphVector:
     out = GraphVector.unit()
     for _ in range(m):
         out = product(out, v)
-    return out
-
-
-def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], Fraction]:
-    """Sum over ordered splits of the labeled components.
-
-    Each side inherits the relative vertex order and edge directions;
-    the term's sign is the parity of the shuffle that brings the chosen
-    components' vertices in front of the rest.  Keys are pairs of
-    canonical graphs.
-    """
-    out: dict[tuple[Graph, Graph], Fraction] = {}
-    for g, c in v.terms.items():
-        comps = g.components()
-        r = len(comps)
-        for bits in range(1 << r):
-            chosen_verts = {v for i in range(r) if bits >> i & 1 for v in comps[i]}
-            left = canonical_form(_restrict(g, sorted(chosen_verts))[0])
-            right = canonical_form(_restrict(g, sorted(set(range(g.n)) - chosen_verts))[0])
-            if left.sign_state == 0 or right.sign_state == 0:
-                continue
-            # the shuffle: chosen vertices first, order kept on both sides
-            sign = perm_sign(sorted(range(g.n), key=lambda u: u not in chosen_verts))
-            accumulate(out, (left.graph, right.graph),
-                       c * sign * left.sign_state * right.sign_state)
     return out
 
 

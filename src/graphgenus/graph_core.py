@@ -28,7 +28,6 @@ one report it so callers can drop the term as zero.
 from __future__ import annotations
 
 from functools import cache
-from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from .scalars import read_only
@@ -211,70 +210,6 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
     if sorted(vertex_seq) != [(e, end) for e in range(len(g.edges)) for end in (0, 1)]:
         raise InvalidOrientation("cyclic data does not list each flag exactly once")
     return _expansion_sign(vertex_seq)
-
-
-class EdgeOrderOrientation(NamedTuple):
-    """Vertex ordering plus a direction (+1 stored / -1 reversed) per edge."""
-
-    vertex_order: tuple[int, ...]
-    edge_directions: tuple[int, ...]
-
-
-class CyclicOrientation(NamedTuple):
-    """Cyclic flag orders at trivalent vertices plus a univalent ordering.
-
-    The univalent ordering is carried for round trips only; univalent
-    flags span one-dimensional local factors, so it never affects signs.
-    """
-
-    cyclic: tuple[tuple[int, tuple[Flag, Flag, Flag]], ...]
-    univalent_order: tuple[int, ...]
-
-
-def _reference_cyclic(g: Graph) -> CyclicOrientation:
-    cyc, _ = to_cyclic(g)
-    return CyclicOrientation(tuple(sorted((v, t) for v, t in cyc.items())),
-                             g.legs())
-
-
-def convert_orientation(g: Graph, orientation) -> tuple[object, int]:
-    """Convert between the two orientation encodings.
-
-    Returns (other encoding's base representative, sign) where the sign
-    relates the input to the returned representative.  The identity
-    vertex order with stored directions and the sorted-flag cyclic data
-    are declared a matching pair of sign +1, so converting either base
-    representative yields +1 and round trips compose to +1.  Every
-    vertex's block of flags has odd size, so an edge-order orientation's
-    sign is that of its vertex order times the product of its edge
-    directions.
-    """
-    if isinstance(orientation, EdgeOrderOrientation):
-        if sorted(orientation.vertex_order) != list(range(g.n)):
-            raise InvalidOrientation("vertex_order is not a permutation of the labels")
-        dirs = orientation.edge_directions
-        if len(dirs) != len(g.edges) or any(d not in (1, -1) for d in dirs):
-            raise InvalidOrientation("edge_directions must be +-1 per edge")
-        return _reference_cyclic(g), perm_sign(list(orientation.vertex_order)) * prod(dirs)
-    if isinstance(orientation, CyclicOrientation):
-        ref = _reference_cyclic(g)
-        given = dict(orientation.cyclic)
-        flips = 1
-        for v, ref_triple in ref.cyclic:
-            if v not in given:
-                raise InvalidOrientation(f"missing cyclic order at vertex {v}")
-            triple = given.pop(v)
-            if sorted(triple) != sorted(ref_triple):
-                raise InvalidOrientation(f"wrong flag set at vertex {v}")
-            pos = {f: i for i, f in enumerate(ref_triple)}
-            flips *= perm_sign([pos[f] for f in triple])
-        if given:
-            raise InvalidOrientation("cyclic data at non-trivalent vertices")
-        if sorted(orientation.univalent_order) != list(g.legs()):
-            raise InvalidOrientation("univalent_order must list the legs")
-        identity = EdgeOrderOrientation(tuple(range(g.n)), (1,) * len(g.edges))
-        return identity, flips
-    raise InvalidOrientation(f"unknown orientation encoding {type(orientation)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +395,6 @@ def concat(g1: Graph, g2: Graph) -> Graph:
     shift = g1.n
     edges = tuple(g1.edges) + tuple((a + shift, b + shift) for a, b in g2.edges)
     return Graph(tuple(g1.valences) + tuple(g2.valences), edges)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> OrientedGraph:
-    return canonical_form(concat(g1, g2))
 
 
 def graph_sort_key(g: Graph):

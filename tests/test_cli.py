@@ -266,6 +266,24 @@ def test_graph_file_defects_exit_2(tmp_path, text, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["normalize"], ""),
+    (["reduce", "--k", "3"], "coeff 1 "),  # canonical_form through parse_vector
+], ids=["normalize", "reduce"])
+def test_graph_beyond_the_recursion_limit_exits_2(tmp_path, argv, prefix):
+    # theta^500 has 1,000 vertices; the canonical search recurses once per vertex
+    edges = " ".join(f"edge {2 * i} {2 * i + 1} ;" for i in range(500) for _ in range(3))
+    path = tmp_path / "theta500.txt"
+    path.write_text(f"{prefix}graph {{ vertices 1000 ; {edges} }}\n")
+    src = Path(graphgenus.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-m", "graphgenus.cli", *argv, str(path)],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("RecursionError: ")
+    assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+
+
 def test_negative_genus_degree():
     code, out, err = run_cli(["genus", "--series", "ahat", "--k", "-1"])
     assert (code, out, err) == (2, "", "DegreeMismatch: degree -1 is negative\n")

@@ -14,11 +14,9 @@ import pytest
 from graphgenus.genus import (
     BadConstantTerm, CharPowerSeries, ChernData, ChernPolynomial,
     DegreeMismatch, MissingMonomial, OrderMismatch, SeriesError, ahat_series,
-    builtin_genera, chern_in_power_sums, even_monomials,
-    evaluate, genus_in_power_sums, genus_polynomial,
-    genus_polynomial_pontryagin, log_coefficients, newton_convert,
-    pontryagin_from_chern, power_sum_in_chern, sinh_half_over_half,
-    sinh_over_x, sqrt_ahat_series, todd_series,
+    builtin_genera, even_monomials, evaluate, genus_in_power_sums,
+    genus_polynomial, log_coefficients, power_sum_in_chern,
+    sinh_half_over_half, sinh_over_x, sqrt_ahat_series, todd_series,
 )
 
 
@@ -138,8 +136,10 @@ def test_polynomial_symbol_discipline():
         poly("c", {(2,): 1}) + poly("s", {(2,): 1})
     with pytest.raises(ValueError, match="mixed symbols 's' and 'c'"):
         poly("s", {(2,): 1}) - poly("c", {(2,): 1})
-    with pytest.raises(ValueError):
-        poly("c", {(2,): 1}) * poly("p", {(1,): 1})
+    with pytest.raises(ValueError, match="mixed symbols 'c' and 's'"):
+        poly("c", {(2,): 1}) * poly("s", {(1,): 1})
+    with pytest.raises(ValueError, match="unknown symbol 'p'"):
+        poly("p", {(1,): 1})
 
 
 def test_truncate_and_homogeneous():
@@ -183,37 +183,21 @@ def elementary(roots: list[F]) -> dict[int, F]:
 
 
 def test_power_sums_match_roots():
+    # roots in opposite pairs, so the odd classes vanish
     rng = random.Random(13)
     for _ in range(10):
-        roots = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
+        half = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+        roots = half + [-r for r in half]
         e = elementary(roots)
         for j in range(1, 7):
             expected = sum(r ** j for r in roots)
             assert ev(power_sum_in_chern(j), e) == expected
 
 
-def test_chern_in_power_sums_inverts():
-    rng = random.Random(14)
-    for _ in range(10):
-        roots = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
-        e = elementary(roots)
-        s = {j: sum(r ** j for r in roots) for j in range(1, 7)}
-        for i in range(1, 7):
-            assert ev(chern_in_power_sums(i), s) == e[i]
-
-
 def test_power_sum_frozen_forms():
-    assert power_sum_in_chern(2, False) == poly("c", {(1, 1): 1, (2,): -2})
-    assert power_sum_in_chern(2, True) == poly("c", {(2,): -2})
-    assert power_sum_in_chern(4, True) == poly("c", {(2, 2): 2, (4,): -4})
-    assert chern_in_power_sums(2) == poly("s", {(1, 1): F(1, 2), (2,): F(-1, 2)})
-
-
-def test_newton_convert_round_trip():
-    b = poly("c", {(2, 2): F(3, 7), (4,): -1})
-    s_form = newton_convert(b)
-    assert s_form.symbol == "s"
-    assert newton_convert(s_form) == b
+    assert power_sum_in_chern(2) == poly("c", {(2,): -2})
+    assert power_sum_in_chern(3) == ChernPolynomial.zero("c")
+    assert power_sum_in_chern(4) == poly("c", {(2, 2): 2, (4,): -4})
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +271,25 @@ def test_genus_multiplicative_on_root_unions():
             assert lhs == rhs
 
 
-def drop_odd_chern(p: ChernPolynomial) -> ChernPolynomial:
-    """Substitute c1 = c3 = ... = 0."""
-    return ChernPolynomial(p.symbol, {m: c for m, c in p.items()
-                                      if all(i % 2 == 0 for i in m)})
+def power_sums_in_chern(p: ChernPolynomial) -> ChernPolynomial:
+    """Substitute s_j = power_sum_in_chern(j), a ring map."""
+    out = ChernPolynomial.zero("c")
+    for mono, coeff in p.items():
+        term = ChernPolynomial.one("c") * coeff
+        for j in mono:
+            term = term * power_sum_in_chern(j)
+        out = out + term
+    return out
 
 
 def test_genus_in_power_sums_consistent():
-    # Newton conversion is an identity in every Chern class; killing the
-    # odd ones afterwards must land on the odd-vanish polynomial
+    # Newton substitution is a ring map, so it commutes with the
+    # exponential: the s-route lands on the c-route's polynomial
     Q = sqrt_ahat_series(8)
     for k in (1, 2, 3):
         s_form = genus_in_power_sums(Q, k)
         assert s_form.symbol == "s"
-        assert drop_odd_chern(newton_convert(s_form)) == genus_polynomial(Q, k)
+        assert power_sums_in_chern(s_form) == genus_polynomial(Q, k)
 
 
 def test_log_coefficients_recover_series():
@@ -350,39 +339,6 @@ def test_genus_matches_sympy_series_on_roots(name):
 
 
 # ---------------------------------------------------------------------------
-# Pontryagin route
-
-
-def test_pontryagin_from_chern_frozen():
-    table = pontryagin_from_chern(3)
-    assert table[1] == poly("c", {(2,): -2})
-    assert table[2] == poly("c", {(2, 2): 1, (4,): 2})
-    assert table[3] == poly("c", {(2, 4): -2, (6,): -2})
-
-
-def test_pontryagin_route_matches_chern_route():
-    Q = ahat_series(8)
-    for k in (1, 2, 3):
-        p_form = genus_polynomial_pontryagin(Q, k)
-        assert p_form.symbol == "p"
-        table = pontryagin_from_chern(k)
-        back = p_form.substitute(table, "c")
-        assert back == genus_polynomial(Q, k)
-
-
-def test_pontryagin_frozen_ahat():
-    Q = ahat_series(8)
-    assert genus_polynomial_pontryagin(Q, 1) == poly("p", {(1,): F(-1, 24)})
-    assert genus_polynomial_pontryagin(Q, 2) == \
-        poly("p", {(1, 1): F(7, 5760), (2,): F(-1, 1440)})
-
-
-def test_pontryagin_requires_even_series():
-    with pytest.raises(Exception):
-        genus_polynomial_pontryagin(todd_series(8), 1)
-
-
-# ---------------------------------------------------------------------------
 # evaluation against manifold data
 
 
@@ -419,6 +375,6 @@ def test_evaluate_rejects_mixed_degree():
 
 def test_evaluate_rejects_wrong_symbol():
     data = ChernData.for_k1(F(24))
-    p_form = genus_polynomial_pontryagin(ahat_series(8), 1)
-    with pytest.raises(Exception):
-        evaluate(p_form, data)
+    s_form = genus_in_power_sums(ahat_series(8), 1)
+    with pytest.raises(ValueError, match="evaluation needs the c presentation"):
+        evaluate(s_form, data)

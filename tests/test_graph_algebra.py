@@ -1,4 +1,5 @@
-"""Vector space of oriented graphs: product, coproduct, IHX reduction."""
+"""Vector space of oriented graphs: product, IHX reduction, and the
+coproduct as a test-only referee."""
 from __future__ import annotations
 
 import itertools
@@ -10,14 +11,15 @@ import pytest
 
 from graphgenus.graph_algebra import (
     BoundExceeded, DegreeMismatch, GraphVector, RelationSet, _classes,
-    _ihx_terms_for_edge, _orbit_firsts, _raw_ihx_relations, coproduct, dimension,
-    enumerate_trivalent,
-    format_vector, ihx_relations, parse_vector, product, power, reduce,
-    theta_vector, trivalent_part,
+    _ihx_terms_for_edge, _orbit_firsts, _raw_ihx_relations, dimension,
+    enumerate_trivalent, format_vector, ihx_relations, parse_vector, product,
+    power, reduce, theta_vector, trivalent_part,
 )
 from graphgenus.graph_core import (
-    Graph, OrientedGraph, canonical_form, concat, empty_graph, line, theta, wheel,
+    Graph, OrientedGraph, _restrict, canonical_form, concat, empty_graph, line,
+    perm_sign, theta, wheel,
 )
+from graphgenus.scalars import accumulate
 from conftest import check_automorphisms, represent
 
 K4 = Graph((3, 3, 3, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -102,7 +104,28 @@ def test_power_matches_repeated_product():
 
 
 # ---------------------------------------------------------------------------
-# coproduct
+# coproduct: the referee that connected classes are primitive
+
+
+def coproduct(v: GraphVector) -> dict[tuple[Graph, Graph], F]:
+    """Sum over ordered splits of the labeled components.
+
+    Each side inherits the relative vertex order and edge directions;
+    the term's sign is the parity of the shuffle that brings the chosen
+    components' vertices in front of the rest.  Keys are pairs of
+    canonical graphs.
+    """
+    out: dict[tuple[Graph, Graph], F] = {}
+    for g, c in v.terms.items():
+        comps = g.components()
+        for bits in range(1 << len(comps)):
+            chosen = {u for i, comp in enumerate(comps) if bits >> i & 1 for u in comp}
+            left = canonical_form(_restrict(g, sorted(chosen))[0])
+            right = canonical_form(_restrict(g, sorted(set(range(g.n)) - chosen))[0])
+            sign = perm_sign(sorted(range(g.n), key=lambda u: u not in chosen))
+            accumulate(out, (left.graph, right.graph),
+                       c * sign * left.sign_state * right.sign_state)
+    return out
 
 
 def canon_side(d):
@@ -120,9 +143,12 @@ def canon_side(d):
 def test_coproduct_of_unit_and_connected():
     assert canon_side(coproduct(GraphVector.unit())) == \
         {(empty_graph(), empty_graph()): 1}
-    t = theta()
-    assert canon_side(coproduct(theta_vector())) == \
-        {(empty_graph(), t): 1, (t, empty_graph()): 1}
+    for k in range(1, 4):
+        for og in enumerate_trivalent(k):
+            g = og.graph
+            if og.sign_state and len(g.components()) == 1:
+                assert canon_side(coproduct(GraphVector.from_graph(g))) == \
+                    {(empty_graph(), g): 1, (g, empty_graph()): 1}
 
 
 def test_coproduct_of_theta_square():

@@ -13,11 +13,10 @@ import random
 import pytest
 
 from graphgenus.graph_core import (
-    BadIndex, CyclicOrientation, EdgeOrderOrientation, Graph, GraphParseError,
-    InvalidOrientation, OddWheel, OrientedGraph, SelfLoop, ValenceMismatch,
-    canonical_form, concat, convert_orientation, disjoint_union, empty_graph,
-    format_graph, format_oriented, from_cyclic, is_isomorphic, line,
-    make_graph, parse_graph, perm_sign, theta, to_cyclic, weld_all, wheel,
+    BadIndex, Graph, GraphParseError, InvalidOrientation, OddWheel,
+    OrientedGraph, SelfLoop, ValenceMismatch, canonical_form, concat,
+    empty_graph, format_graph, format_oriented, from_cyclic, is_isomorphic,
+    line, make_graph, parse_graph, perm_sign, theta, to_cyclic, weld_all, wheel,
 )
 from conftest import random_unitrivalent, represent
 
@@ -71,7 +70,7 @@ def test_components():
 
 
 # ---------------------------------------------------------------------------
-# cyclic data and orientation conversion
+# cyclic data
 
 
 def test_to_cyclic_reference_has_sorted_triples():
@@ -103,52 +102,12 @@ def test_from_cyclic_transposition_flips():
     assert from_cyclic(g, swapped) == -from_cyclic(g, cyc)
 
 
-def test_convert_orientation_round_trip():
-    rng = random.Random(11)
-    for g in (theta(), K4, CLAW, wheel(2)):
-        for _ in range(25):
-            order = list(range(g.n))
-            rng.shuffle(order)
-            dirs = tuple(rng.choice((1, -1)) for _ in g.edges)
-            o = EdgeOrderOrientation(tuple(order), dirs)
-            cyc, s1 = convert_orientation(g, o)
-            assert isinstance(cyc, CyclicOrientation)
-            back, s2 = convert_orientation(g, cyc)
-            assert isinstance(back, EdgeOrderOrientation)
-            # cyclic base representative maps back to the identity pair
-            assert back.vertex_order == tuple(range(g.n))
-            assert all(d == 1 for d in back.edge_directions)
-            assert s2 == 1
-            # the sign of o against the identity matches a direct count
-            ident = EdgeOrderOrientation(tuple(range(g.n)), (1,) * len(g.edges))
-            _, s_ident = convert_orientation(g, ident)
-            assert s_ident == 1
-            swaps = sum(1 for d in dirs if d == -1)
-            assert s1 == perm_sign(list(order)) * (-1) ** swaps
-
-
-def test_convert_orientation_validates_input():
+def test_from_cyclic_rejects_a_repeated_flag():
     g = theta()
+    cyc, _ = to_cyclic(g)
+    a, b, _ = cyc[0]
     with pytest.raises(InvalidOrientation):
-        convert_orientation(g, EdgeOrderOrientation((0, 0), (1, 1, 1)))
-    with pytest.raises(InvalidOrientation):
-        convert_orientation(g, EdgeOrderOrientation((0, 1), (1, 2, 1)))
-    with pytest.raises(InvalidOrientation):
-        convert_orientation(g, "nonsense")
-    cyc, _ = convert_orientation(g, EdgeOrderOrientation((0, 1), (1, 1, 1)))
-    broken = CyclicOrientation(cyc.cyclic[:1], cyc.univalent_order)
-    with pytest.raises(InvalidOrientation):
-        convert_orientation(g, broken)
-
-
-def test_cyclic_transposed_triple_flips_class_sign():
-    g = theta()
-    cyc, _ = convert_orientation(g, EdgeOrderOrientation((0, 1), (1, 1, 1)))
-    (v0, t0), rest = cyc.cyclic[0], cyc.cyclic[1:]
-    swapped = CyclicOrientation(((v0, (t0[1], t0[0], t0[2])),) + rest,
-                                cyc.univalent_order)
-    _, s = convert_orientation(g, swapped)
-    assert s == -1
+        from_cyclic(g, {**cyc, 0: (a, b, a)})
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +256,9 @@ def test_is_isomorphic_cases():
 
 def test_disjoint_union_commutes():
     a, b = wheel(2), theta()
-    assert disjoint_union(a, b) == disjoint_union(b, a)
+    assert canonical_form(concat(a, b)) == canonical_form(concat(b, a))
     g = random_unitrivalent(random.Random(8))
-    assert disjoint_union(g, empty_graph()) == canonical_form(g)
+    assert canonical_form(concat(g, empty_graph())) == canonical_form(g)
 
 
 def test_concat_shifts_labels():

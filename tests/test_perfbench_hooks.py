@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import graphgenus
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_trace_target_resolves_to_a_callable():
@@ -31,3 +34,10 @@ def test_every_trace_target_resolves_to_a_callable():
 def test_selfcheck_weight_call_shape():
     # perfbench/selfcheck.py weighs graphs as gg.weight(gg.builtin(alg), graph)
     assert graphgenus.weight(graphgenus.builtin("gl2"), graphgenus.theta()) == 12
+
+
+def test_benchmark_selfcheck_passes():
+    # the benchmark's own checks import graphgenus from src/
+    result = subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
