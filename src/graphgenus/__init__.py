@@ -1,7 +1,7 @@
 """Exact arithmetic for oriented trivalent graph homology, wheels,
 multiplicative genera, and hyperkähler curvature-norm identities."""
 
-from .scalars import PiScalar, parse_pi_scalar
+from .scalars import PiScalar, Root, parse_pi_scalar
 from .graph_core import (
     BadIndex, Graph, GraphError, GraphParseError, InvalidOrientation,
     OddWheel, OrientedGraph, SelfLoop, ValenceMismatch, canonical_form,

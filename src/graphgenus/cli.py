@@ -202,11 +202,13 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, OSError, RecursionError) as exc:
-        # every package error derives from ValueError; the canonical
-        # search recurses once per vertex, so a large enough graph
-        # exceeds Python's recursion limit
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("RecursionError: the graph is too large for the canonical search, "
+              "which recurses once per vertex; Python's recursion limit is "
+              f"{sys.getrecursionlimit()}", file=sys.stderr)
         return 2
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
-from .scalars import read_only
+from .scalars import Record
 
 Flag = tuple[int, int]
 
@@ -216,7 +216,7 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
 # canonical form
 
 
-class OrientedGraph:
+class OrientedGraph(Record):
     """Canonical presentation plus the sign relating the input to it.
 
     sign_state 0 marks a graph with an orientation-reversing
@@ -227,7 +227,6 @@ class OrientedGraph:
     """
 
     __slots__ = ("graph", "sign_state", "automorphisms")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, graph: Graph, sign_state: int,
                  automorphisms: frozenset[tuple[int, ...]] = frozenset()):
@@ -245,9 +244,6 @@ class OrientedGraph:
 
     def __repr__(self):
         return f"OrientedGraph(graph={self.graph!r}, sign_state={self.sign_state!r})"
-
-    def __reduce__(self):
-        return OrientedGraph, (self.graph, self.sign_state, self.automorphisms)
 
 
 @cache

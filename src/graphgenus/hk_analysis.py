@@ -9,8 +9,10 @@ curvature norm.  The central identity evaluated here is
 together with the derived constants: the coefficient of the k-fold
 double-edge graph b = 48^k k! sqrtAhat[M], the sectional constant
 c = ||R||^2 / (2k vol), and the closed loop b = k!/(2 pi^2)^k c^k vol.
-All arithmetic stays in exact rationals times powers of pi^2; the k-th
-root degrades to a guarded float only when no exact root exists.
+All arithmetic stays in exact rationals times powers of pi^2.  Every
+exact factor is multiplied into the radicand before the k-th root is
+taken, so a norm with no exact value is one Root of an exact number, a
+power of it is exact again, and the two routes to the norm are equal.
 
 The identities assume irreducible holonomy; for reducible input the
 report carries a note saying they are not asserted.
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .scalars import PiScalar, read_only
+from .scalars import PiScalar, Record, Root
 from .genus import ChernData, builtin_genera, evaluate
 
 
@@ -37,11 +39,10 @@ class MissingNorm(AnalysisError):
     pass
 
 
-class ManifoldData:
+class ManifoldData(Record):
     """The inputs of an analysis, checked on construction; immutable."""
 
     __slots__ = ("k", "chern", "volume", "norm_R_sq", "irreducible")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, k: int, chern: ChernData, volume: PiScalar,
                  norm_R_sq: Optional[PiScalar] = None, irreducible: bool = True):
@@ -54,20 +55,6 @@ class ManifoldData:
             raise ValueError("curvature norm must not be negative")
         for name, value in zip(self.__slots__, (k, chern, volume, norm_R_sq, irreducible)):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return f"ManifoldData{self._values()!r}"
-
-    def __reduce__(self):
-        return ManifoldData, self._values()
 
 
 def sqrt_ahat_number(d: ManifoldData) -> Fraction:
@@ -82,14 +69,15 @@ def euler_number(d: ManifoldData) -> Fraction:
     return d.chern.euler()
 
 
-def curvature_norm(d: ManifoldData) -> PiScalar:
-    """||R||^2 = 192 pi^2 k (vol^(k-1) sqrtAhat[M])^(1/k)."""
+def curvature_norm(d: ManifoldData) -> PiScalar | Root:
+    """||R||^2 = 192 pi^2 k (vol^(k-1) sqrtAhat[M])^(1/k)
+    = ((192 pi^2 k)^k vol^(k-1) sqrtAhat[M])^(1/k)."""
     s = sqrt_ahat_number(d)
     if s <= 0:
         raise NonpositiveSqrtAhat(
             f"sqrtAhat[M] = {s} is not positive; the norm identity fails")
-    radicand = d.volume ** (d.k - 1) * PiScalar.of(s)
-    return PiScalar.of(192 * d.k, 1) * radicand.root(d.k)
+    k = d.k
+    return (PiScalar.of(192 * k, 1) ** k * d.volume ** (k - 1) * s).root(k)
 
 
 def b_theta_k(d: ManifoldData) -> Fraction:
@@ -97,35 +85,34 @@ def b_theta_k(d: ManifoldData) -> Fraction:
     return Fraction(48 ** d.k * math.factorial(d.k)) * sqrt_ahat_number(d)
 
 
-def curvature_norm_via_b(d: ManifoldData) -> PiScalar:
+def curvature_norm_via_b(d: ManifoldData) -> PiScalar | Root:
     """Second route: invert b = k!/(4 pi^2 k)^k ||R||^(2k)/vol^(k-1)."""
     b = b_theta_k(d)
     if b <= 0:
         raise NonpositiveSqrtAhat(
             f"b coefficient {b} is not positive; the norm identity fails")
     k = d.k
-    radicand = (PiScalar.of(Fraction(b, math.factorial(k)) * (4 * k) ** k, k)
-                * d.volume ** (k - 1))
-    return radicand.root(k)
+    return (PiScalar.of(Fraction(b, math.factorial(k)) * (4 * k) ** k, k)
+            * d.volume ** (k - 1)).root(k)
 
 
-def c_theta(d: ManifoldData) -> PiScalar:
-    """c = ||R||^2 / (2k vol), from the given norm or the computed one."""
-    if d.norm_R_sq is not None:
-        norm = d.norm_R_sq
-    else:
+def c_theta(d: ManifoldData, norm: PiScalar | Root | None = None) -> PiScalar | Root:
+    """c = ||R||^2 / (2k vol) = (||R||^(2k) / (2k vol)^k)^(1/k), for the
+    norm given, else the measured one, else the computed one."""
+    norm = d.norm_R_sq if norm is None else norm
+    if norm is None:
         try:
             norm = curvature_norm(d)
         except NonpositiveSqrtAhat as exc:
             raise MissingNorm(
                 "no measured norm was given and none is computable: "
                 + str(exc)) from exc
-    return norm / (PiScalar.of(2 * d.k) * d.volume)
+    k = d.k
+    return (norm ** k / (PiScalar.of(2 * k) * d.volume) ** k).root(k)
 
 
 def b_theta_via_c(d: ManifoldData) -> PiScalar:
-    """Closed loop: b = k!/(2 pi^2)^k c^k vol; equals b_theta_k exactly
-    whenever the scalars stay exact."""
+    """Closed loop: b = k!/(2 pi^2)^k c^k vol; equals b_theta_k exactly."""
     c = c_theta(d)
     k = d.k
     return PiScalar.of(math.factorial(k)) / PiScalar.of(2 ** k, k) * c ** k * d.volume
@@ -144,8 +131,8 @@ class AnalysisReport(NamedTuple):
     ahat: Fraction
     euler: Fraction
     b_theta_k: Fraction
-    c_theta: Optional[PiScalar]
-    norm_R_sq: Optional[PiScalar]
+    c_theta: Optional[PiScalar | Root]
+    norm_R_sq: Optional[PiScalar | Root]
     verdicts: tuple[tuple[str, str], ...]
     notes: tuple[str, ...] = ()
 
@@ -163,7 +150,8 @@ class AnalysisReport(NamedTuple):
         def scalar(x):
             if x is None:
                 return "none"
-            return (x if isinstance(x, PiScalar) else PiScalar.of(x)).render(use_float)
+            x = x if isinstance(x, (PiScalar, Root)) else PiScalar.of(x)
+            return x.render(use_float)
 
         lines = [f"{key} {scalar(getattr(self, key))}" for key in REPORT_KEYS]
         lines += [f"verdicts.{key} {value}" for key, value in self.verdicts]
@@ -185,11 +173,10 @@ def validate(d: ManifoldData) -> AnalysisReport:
                      "pass" if ahat == d.k + 1 else "fail"))
     verdicts.append(("sqrt_ahat_positive", "pass" if sqrt_a > 0 else "fail"))
 
-    norm: Optional[PiScalar] = d.norm_R_sq
+    norm = d.norm_R_sq
     if norm is None and sqrt_a > 0:
         norm = curvature_norm(d)
-    c = None if norm is None else c_theta(
-        ManifoldData(d.k, d.chern, d.volume, norm, d.irreducible))
+    c = None if norm is None else c_theta(d, norm)
 
     if d.k == 2:
         # the two forms of the same constraint, computed independently

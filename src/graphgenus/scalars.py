@@ -10,19 +10,17 @@ exponential, for power series and Chern polynomials alike.  This module
 imports nothing from the package.
 
 Curvature norms and wheel weights are rational multiples of powers of
-pi^2, so they are kept symbolic: a value is ``coef * (pi^2)**pi2``.
-The coefficient stays a Fraction as long as every operation is exact;
-a root that does not exist in the rationals degrades the coefficient
-to a float (double precision, relative error a few ulps).
+pi^2, so they are kept symbolic: a ``PiScalar`` is ``coef * (pi^2)**pi2``
+with a Fraction coef.  A k-th root with no such value is a ``Root``: the
+exact k-th power and the least index k, so every value stays exact.
 Typed text enters only through ``parse_rational`` and doubles leave
-only through ``to_float``, which refuses to round a nonzero value to 0
-or +-inf.
+only through ``to_float``, when a scalar is rounded or rendered; it
+refuses to round a nonzero value to 0 or +-inf.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 import math
-import operator
 import reprlib
 import sys
 from typing import Callable, Sequence
@@ -47,8 +45,6 @@ def nth_root_int(value: int, k: int) -> int | None:
 
 def nth_root_fraction(value: Fraction, k: int) -> Fraction | None:
     """Exact rational k-th root, or None when no such rational exists."""
-    if value < 0:
-        return None
     num = nth_root_int(value.numerator, k)
     den = nth_root_int(value.denominator, k)
     if num is None or den is None:
@@ -86,7 +82,7 @@ def _check_digits(text: str) -> None:
 def to_float(value: Fraction | float,
              convert: Callable[[Fraction | float], float] = float) -> float:
     """convert(value) as a double (convert rounds: float() by default, a
-    pi power or a root in logs for PiScalar); a nonzero value whose
+    pi power for PiScalar, a root in logs for Root); a nonzero value whose
     double comes out 0 or +-inf is a ValueError, never a silent 0 or inf."""
     try:
         out = convert(value)
@@ -98,49 +94,48 @@ def to_float(value: Fraction | float,
     return out
 
 
-def _mixed(op, a: Fraction | float, b: Fraction | float) -> Fraction | float:
-    """op(a, b); a float with a Fraction is computed on exact Fractions and
-    rounded once, so no exact operand is rounded out of the double range."""
-    if isinstance(a, float) == isinstance(b, float):
-        return op(a, b)
-    return to_float(op(Fraction(a), Fraction(b)))
+class Record:
+    """Base of the immutable slotted classes: ``__init__`` sets each field
+    once, and equality, repr and pickling follow ``__slots__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-# natural logs of the least normal and the greatest double
-_LN_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
-
-
-def read_only(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the immutable slotted classes."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-class PiScalar:
-    """A number coef * (pi^2)**pi2; exact when coef is a Fraction.
+class PiScalar(Record):
+    """A number coef * (pi^2)**pi2 with a Fraction coef.
 
     Immutable, and not a tuple: scalars have no order, length or
     iteration."""
 
     __slots__ = ("coef", "pi2")
-    __setattr__ = __delattr__ = read_only
 
-    def __init__(self, coef: Fraction | float, pi2: int = 0):
+    def __init__(self, coef: Fraction, pi2: int = 0):
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "pi2", pi2)
-
-    def __repr__(self):
-        return f"PiScalar(coef={self.coef!r}, pi2={self.pi2!r})"
-
-    def __reduce__(self):
-        return PiScalar, (self.coef, self.pi2)
 
     @staticmethod
     def of(value, pi2: int = 0) -> "PiScalar":
         return PiScalar(Fraction(value), pi2)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.coef, Fraction)
 
     def __bool__(self) -> bool:
         return bool(self.coef)
@@ -153,8 +148,6 @@ class PiScalar:
             return other
         if isinstance(other, (int, Fraction)):
             return PiScalar(Fraction(other), 0)
-        if isinstance(other, float):
-            return PiScalar(other, 0)
         raise TypeError(f"cannot combine PiScalar with {type(other)!r}")
 
     def __add__(self, other) -> "PiScalar":
@@ -167,24 +160,20 @@ class PiScalar:
             raise ValueError("cannot add scalars of different pi^2 grade exactly")
         return PiScalar(self.coef + other.coef, self.pi2)
 
-    def __radd__(self, other) -> "PiScalar":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other) -> "PiScalar":
         return self.__add__(-self._coerce(other))
 
     def __mul__(self, other) -> "PiScalar":
         other = self._coerce(other)
-        return PiScalar(_mixed(operator.mul, self.coef, other.coef),
-                        self.pi2 + other.pi2)
+        return PiScalar(self.coef * other.coef, self.pi2 + other.pi2)
 
-    def __rmul__(self, other) -> "PiScalar":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "PiScalar":
         other = self._coerce(other)
-        return PiScalar(_mixed(operator.truediv, self.coef, other.coef),
-                        self.pi2 - other.pi2)
+        return PiScalar(self.coef / other.coef, self.pi2 - other.pi2)
 
     def __pow__(self, k: int) -> "PiScalar":
         if not isinstance(k, int) or k < 0:
@@ -192,7 +181,7 @@ class PiScalar:
         return PiScalar(self.coef ** k, self.pi2 * k)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, PiScalar):
             return NotImplemented
@@ -205,25 +194,20 @@ class PiScalar:
             return hash(0)
         return hash((self.coef, self.pi2))
 
-    def root(self, k: int) -> "PiScalar":
-        """k-th root; exact when the grade divides and the coef has one,
-        else a double."""
-        if k == 1:
-            return self
-        if self.exact and self.pi2 % k == 0:
-            exact = nth_root_fraction(self.coef, k)
-            if exact is not None:
-                return PiScalar(exact, self.pi2 // k)
-        if self.coef > 0:
-            ln = self._ln_abs()
-            if not _LN_NORMAL[0] <= ln <= _LN_NORMAL[1]:
-                # the radicand's double is 0, subnormal or inf, but its
-                # root may be a normal double: take the root in logs
-                return PiScalar(to_float(self.coef, lambda _: math.exp(ln / k)), 0)
-        return PiScalar(float(self) ** (1.0 / k), 0)
+    def root(self, k: int) -> "PiScalar | Root":
+        """The k-th root: a PiScalar if one exists, else a Root of least index."""
+        if self.coef < 0:
+            raise ValueError(f"cannot take a root of index {k} of a negative scalar")
+        for q in range(k, 1, -1):  # the index k // q ascends
+            if k % q == 0 and self.pi2 % q == 0:
+                exact = nth_root_fraction(self.coef, q)
+                if exact is not None:
+                    base = PiScalar(exact, self.pi2 // q)
+                    return base if q == k else Root(base, k // q)
+        return Root(self, k) if self.coef and k > 1 else self
 
     def __float__(self) -> float:
-        def convert(coef: Fraction | float) -> float:
+        def convert(coef: Fraction) -> float:
             if not coef or not self.pi2:
                 return float(coef)
             try:
@@ -239,18 +223,48 @@ class PiScalar:
 
     def _ln_abs(self) -> float:
         """log|coef * pi^(2 pi2)| for a nonzero coef of any size."""
-        coef = abs(Fraction(self.coef))
-        return (math.log(coef.numerator) - math.log(coef.denominator)
+        return (math.log(abs(self.coef.numerator)) - math.log(self.coef.denominator)
                 + 2 * self.pi2 * math.log(math.pi))
 
     def render(self, use_float: bool = False) -> str:
         """Deterministic text form: '48', '192*pi^2', '-1/5760*pi^4'."""
-        if use_float or not self.exact:
+        if use_float:
             return f"{float(self):.12g}"
         if self.pi2 == 0:
             return str(self.coef)
         power = "pi^2" if self.pi2 == 1 else f"pi^{2 * self.pi2}"
         return f"{self.coef}*{power}"
+
+
+class Root(Record):
+    """The k-th root of a positive PiScalar ``power`` that has none, at the
+    least index k (the least whose power is a PiScalar): so ``==`` and
+    ``hash`` on (power, k) are equality of values."""
+
+    __slots__ = ("power", "k")
+
+    def __init__(self, power: PiScalar, k: int):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "k", k)
+
+    def __pow__(self, n: int) -> "PiScalar | Root":
+        return (self.power ** n).root(self.k)
+
+    def __hash__(self):
+        return hash((self.power, self.k))
+
+    def __float__(self) -> float:
+        # (n/d pi^(2p))^(1/k) = (n/(d 2^(k q)))^(1/k) 2^(q + t), t = 2p/k log2(pi):
+        # the root is taken near 1, and 2^q enters exactly, at any size
+        num, den, k = self.power.coef.numerator, self.power.coef.denominator, self.k
+        q = (num.bit_length() - den.bit_length()) // k
+        head = num / (den << k * q) if q >= 0 else (num << -k * q) / den
+        t = 2 * self.power.pi2 / k * math.log2(math.pi)
+        return to_float(self.power.coef, lambda _: math.ldexp(
+            head ** (1 / k) * 2 ** (t % 1), q + math.floor(t)))
+
+    def render(self, use_float: bool = False) -> str:
+        return f"{float(self):.12g}"
 
 
 def parse_pi_scalar(text: str) -> PiScalar:

@@ -13,7 +13,7 @@ from graphgenus.hk_analysis import (
     curvature_norm, curvature_norm_via_b, euler_number, sqrt_ahat_number,
     validate,
 )
-from graphgenus.scalars import PiScalar
+from graphgenus.scalars import PiScalar, Root
 
 
 def k1_data(c2, vol=1, **kw) -> ManifoldData:
@@ -23,6 +23,11 @@ def k1_data(c2, vol=1, **kw) -> ManifoldData:
 
 def k2_data(c2_sq, c4, vol=1, **kw) -> ManifoldData:
     return ManifoldData(k=2, chern=ChernData.for_k2(F(c2_sq), F(c4)),
+                        volume=PiScalar.of(F(vol)), **kw)
+
+
+def k3_data(c2_cube, c2_c4, c6, vol=1, **kw) -> ManifoldData:
+    return ManifoldData(k=3, chern=ChernData.for_k3(F(c2_cube), F(c2_c4), F(c6)),
                         volume=PiScalar.of(F(vol)), **kw)
 
 
@@ -126,10 +131,66 @@ def test_routes_agree_for_k2_random_data():
             continue
         vol = F(rng.randint(1, 50), rng.randint(1, 7))
         d = k2_data(x, y, vol)
-        a = float(curvature_norm(d))
-        b = float(curvature_norm_via_b(d))
-        assert abs(a - b) <= 1e-12 * abs(a)
+        assert curvature_norm(d) == curvature_norm_via_b(d)
+        assert b_theta_via_c(d) == b_theta_k(d)
         checked += 1
+
+
+def test_routes_agree_exactly_for_k3_random_data():
+    rng = random.Random(22)
+    checked = 0
+    while checked < 100:
+        d = k3_data(*(F(rng.randint(-40000, 40000), rng.randint(1, 5)) for _ in range(3)),
+                    vol=F(rng.randint(1, 50), rng.randint(1, 7)))
+        if sqrt_ahat_number(d) <= 0:
+            continue
+        assert curvature_norm(d) == curvature_norm_via_b(d)
+        assert b_theta_via_c(d) == b_theta_k(d)
+        checked += 1
+
+
+def test_irrational_norm_is_one_root_of_an_exact_number():
+    # K3^[2]: ||R||^4 = (384 pi^2)^2 * 25/32 has no rational square root
+    norm = curvature_norm(k2_data(828, 324))
+    assert norm == Root(PiScalar.of(F(384 ** 2 * 25, 32), 2), 2)
+    assert norm ** 2 == PiScalar.of(F(384 ** 2 * 25, 32), 2)
+    # K3^[3] at volume 7/3: the cube root stays a Root through c_theta
+    d = k3_data(36800, 14720, 3200, vol=F(7, 3))
+    c = c_theta(d)
+    assert isinstance(c, Root) and c.k == 3
+    assert c ** 3 == curvature_norm(d) ** 3 / (PiScalar.of(6) * d.volume) ** 3
+
+
+def test_irrational_constant_rounds_from_the_exact_root():
+    # c = 24.8054147400500001...; the root of a rounded double gave 24.80541474
+    rep = validate(k3_data(36800, 14720, 3200, vol=31347))
+    assert rep.c_theta.render() == "24.8054147401"
+
+
+def test_c_theta_when_only_a_factor_leaves_the_double_range():
+    # vol = 3e-700 pi^1300 is about 6e-54: c_theta's coefficient alone (about
+    # 1e676) has no double, but c_theta, about 3.4e29, has one
+    d = ManifoldData(k=2, chern=ChernData.for_k2(F(828), F(324)),
+                     volume=PiScalar.of(F(3, 10 ** 700), 650))
+    assert float(validate(d).c_theta) == pytest.approx(3.44340507380e29, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_report_scalar_is_exact(k):
+    rng = random.Random(23 + k)
+    for _ in range(30):
+        chern = [F(rng.randint(-5000, 40000), rng.randint(1, 5)) for _ in range(k)]
+        kw = {}
+        if rng.random() < 0.3:
+            kw["norm_R_sq"] = PiScalar.of(F(rng.randint(0, 900), rng.randint(1, 9)),
+                                          rng.randint(-1, 2))
+        d = [k1_data, k2_data, k3_data][k - 1](*chern, vol=F(rng.randint(1, 50), 7), **kw)
+        rep = validate(d)
+        for x in (rep.c_theta, rep.norm_R_sq):
+            x = x.power if isinstance(x, Root) else x
+            assert x is None or type(x.coef) is F
+        assert all(type(getattr(rep, key)) is F
+                   for key in ("sqrt_ahat", "ahat", "euler", "b_theta_k"))
 
 
 # ---------------------------------------------------------------------------

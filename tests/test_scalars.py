@@ -1,10 +1,11 @@
 """Exact pi^2-graded scalar arithmetic."""
 from fractions import Fraction
+import math
 
 import pytest
 
 from graphgenus.scalars import (
-    Echelon, PiScalar, nth_root_fraction, nth_root_int, parse_pi_scalar,
+    Echelon, PiScalar, Root, nth_root_fraction, nth_root_int, parse_pi_scalar,
     parse_rational, to_float,
 )
 
@@ -37,10 +38,13 @@ def test_float_root_of_radicand_beyond_float_range():
     assert float(r) == pytest.approx(2 ** 0.5 * 1e200)
     r = PiScalar.of(Fraction(2, 10 ** 400)).root(2)
     assert float(r) == pytest.approx(2 ** 0.5 * 1e-200)
+    # the root is exact; only its double overflows or underflows
+    r = PiScalar.of(10 ** 1000 * 2).root(2)
+    assert r ** 2 == PiScalar.of(10 ** 1000 * 2)
     with pytest.raises(ValueError):
-        PiScalar.of(10 ** 1000 * 2).root(2)
+        float(r)
     with pytest.raises(ValueError):  # the root underflows
-        PiScalar.of(Fraction(2, 10 ** 700)).root(2)
+        float(PiScalar.of(Fraction(2, 10 ** 700)).root(2))
     # a subnormal radicand still has a full-precision root
     assert float(PiScalar.of(Fraction(2, 10 ** 320)).root(2)) == \
         pytest.approx(2 ** 0.5 * 1e-160, rel=1e-14)
@@ -114,14 +118,6 @@ def test_pi_scalar_float_when_only_a_factor_leaves_the_double_range():
     assert float(PiScalar.of(0, 400)) == 0.0
 
 
-def test_mixed_product_is_guarded():
-    with pytest.raises(ValueError):
-        PiScalar(2.0) * PiScalar.of(10 ** 400)
-    with pytest.raises(ValueError):
-        PiScalar(2.0) / PiScalar.of(10 ** 400)
-    assert PiScalar(2.0) * PiScalar.of(10 ** 300) == PiScalar(2e300)
-
-
 # ---------------------------------------------------------------------------
 # graded arithmetic
 
@@ -166,21 +162,58 @@ def test_plain_numbers_coerce_at_grade_zero():
 
 def test_root_exact_when_grade_divides():
     a = PiScalar.of(Fraction(9, 16), 2)
-    r = a.root(2)
-    assert r.exact and r == PiScalar.of(Fraction(3, 4), 1)
+    assert a.root(2) == PiScalar.of(Fraction(3, 4), 1)
+    assert PiScalar.of(Fraction(1, 8), 3).root(3) == PiScalar.of(Fraction(1, 2), 1)
 
 
 def test_root_falls_back_to_float():
+    # no rational root: a Root keeps the exact radicand, and float() rounds
     r = PiScalar.of(2, 2).root(2)
-    assert not r.exact
+    assert r == Root(PiScalar.of(2, 2), 2)
     assert float(r) == pytest.approx(float(2 ** 0.5 * 3.141592653589793 ** 2))
+    assert r.render() == r.render(use_float=True) == f"{float(r):.12g}"
 
 
 def test_root_of_odd_grade_is_float():
     # pi^2 has no exact square root in this grading
     r = PiScalar.of(1, 1).root(2)
-    assert not r.exact
+    assert r == Root(PiScalar.of(1, 1), 2)
     assert float(r) == pytest.approx(3.141592653589793)
+
+
+def test_root_float_when_only_a_factor_leaves_the_double_range():
+    # sqrt(3e-700 pi^1302) is about 2e-27, though pi^1302 alone is about 1e647
+    r = PiScalar.of(Fraction(3, 10 ** 700), 651).root(2)
+    ln = math.log(3) - 700 * math.log(10) + 1302 * math.log(math.pi)
+    assert float(r) == pytest.approx(math.exp(ln / 2), rel=1e-12)
+
+
+def test_root_takes_the_least_index():
+    # a 4th root of a square is a square root, and of a 4th power exact
+    assert PiScalar.of(4).root(4) == Root(PiScalar.of(2), 2)
+    assert PiScalar.of(9, 2).root(4) == Root(PiScalar.of(3, 1), 2)
+    assert PiScalar.of(16, 4).root(4) == PiScalar.of(2, 1)
+    assert PiScalar.of(9, 1).root(4) == Root(PiScalar.of(9, 1), 4)
+    assert PiScalar.of(4).root(4) == PiScalar.of(2).root(2)
+    assert hash(PiScalar.of(4).root(4)) == hash(PiScalar.of(2).root(2))
+    assert PiScalar.of(2).root(2) != PiScalar.of(2).root(3)
+
+
+def test_root_powers_are_exact():
+    r = PiScalar.of(Fraction(7, 3), 1).root(3)
+    assert r ** 3 == PiScalar.of(Fraction(7, 3), 1)
+    assert r ** 6 == PiScalar.of(Fraction(49, 9), 2)
+    assert r ** 2 == Root(PiScalar.of(Fraction(49, 9), 2), 3)
+    assert r ** 0 == PiScalar.of(1)
+
+
+def test_root_of_a_negative_scalar_is_a_value_error():
+    # not a complex coefficient that fails later in render
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="negative"):
+            PiScalar.of(-2).root(k)
+    # zero is exact at any grade, even one k does not divide
+    assert PiScalar.of(0).root(2) == PiScalar.of(0, 1).root(2) == 0
 
 
 # ---------------------------------------------------------------------------
