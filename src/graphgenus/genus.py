@@ -26,10 +26,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .graph_algebra import DegreeMismatch
-from .scalars import Combination, accumulate, graded_exp, graded_log
+from .scalars import Combination, Record, accumulate, extend_exp, graded_exp, graded_log
 
 Monomial = tuple[int, ...]
 
@@ -290,21 +291,44 @@ def log_coefficients(Q: CharPowerSeries) -> list[Fraction]:
     return list(Q.log().coeffs[1:])
 
 
+class _Exponential:
+    """exp(sum_j q_j power_sum(j)), q = log Q, kept weight by weight.
+
+    Q comes from ``series(order)``, truncated after x^order.  A series
+    truncated at a higher order has the same coefficients below it, so
+    every weight computed stays valid, and a higher one only extends the
+    list."""
+
+    __slots__ = ("series", "power_sum", "zero", "parts", "graded")
+
+    def __init__(self, series: Callable[[int], CharPowerSeries], symbol: str,
+                 power_sum: Callable[[int], ChernPolynomial]):
+        if series(0).coeffs[0] != 1:
+            raise BadConstantTerm("a genus series needs constant term 1")
+        self.series, self.power_sum = series, power_sum
+        self.zero = ChernPolynomial.zero(symbol)
+        # the weight-j part of the exponent is q_j power_sum(j)
+        self.parts = [self.zero]
+        self.graded = [ChernPolynomial.one(symbol)]
+
+    def weight(self, w: int) -> ChernPolynomial:
+        if w >= len(self.graded):
+            q = log_coefficients(self.series(w))
+            self.parts += [q[j - 1] * self.power_sum(j) if q[j - 1] else self.zero
+                           for j in range(len(self.parts), w + 1)]
+            extend_exp(self.parts, self.graded, self.zero)
+        return self.graded[w]
+
+
 def _genus(Q: CharPowerSeries, k: int, symbol: str,
            power_sum: Callable[[int], ChernPolynomial]) -> ChernPolynomial:
     """Weight-2k part of exp(sum_j q_j power_sum(j)), q = log Q."""
     if k < 0:
         raise DegreeMismatch(f"degree {k} is negative")
-    if Q.coeffs[0] != 1:
-        raise BadConstantTerm("a genus series needs constant term 1")
+    exponential = _Exponential(lambda order: Q, symbol, power_sum)
     if Q.order < 2 * k:
         raise OrderMismatch(f"series order {Q.order} below required {2 * k}")
-    q = log_coefficients(Q)
-    L = ChernPolynomial.zero(symbol)
-    for j in range(1, 2 * k + 1):
-        if q[j - 1]:
-            L = L + q[j - 1] * power_sum(j)
-    return L.exp_truncated(2 * k).homogeneous(2 * k)
+    return exponential.weight(2 * k)
 
 
 def genus_in_power_sums(Q: CharPowerSeries, k: int) -> ChernPolynomial:
@@ -321,15 +345,22 @@ def genus_polynomial(Q: CharPowerSeries, k: int) -> ChernPolynomial:
 
 
 class Genus(NamedTuple):
-    """A named genus; equal genera share ``polynomial``'s cache."""
+    """A named genus; equal genera share ``polynomial``'s cache and one
+    exponential, grown to the highest degree asked for so far."""
 
     name: str
     series: Callable[[int], CharPowerSeries]
 
     @cache
     def polynomial(self, k: int) -> ChernPolynomial:
-        # a negative k builds an order-0 series and _genus rejects it
-        return genus_polynomial(self.series(max(2 * k, 0)), k)
+        if k < 0:
+            raise DegreeMismatch(f"degree {k} is negative")
+        return _exponential(self).weight(2 * k)
+
+
+@cache
+def _exponential(genus: Genus) -> _Exponential:
+    return _Exponential(genus.series, "c", power_sum_in_chern)
 
 
 def builtin_genera() -> dict[str, Genus]:
@@ -362,15 +393,15 @@ def even_monomials(k: int) -> list[Monomial]:
     return sorted(out)
 
 
-class ChernData:
-    """Exact values of all degree-4k monomials in even Chern classes."""
+class ChernData(Record):
+    """Exact values of all degree-4k monomials in even Chern classes;
+    immutable, with the values behind a read-only mapping."""
 
     __slots__ = ("k", "values")
 
     def __init__(self, k: int, values: Mapping[Monomial, Fraction]):
         if k < 1:
             raise ValueError("k must be positive")
-        self.k = k
         vals = {tuple(sorted(m)): Fraction(v) for m, v in values.items()}
         needed = even_monomials(k)
         for mono in vals:
@@ -381,32 +412,18 @@ class ChernData:
         for mono in needed:
             if mono not in vals:
                 raise MissingMonomial(f"missing value for monomial {mono}")
-        self.values = vals
-
-    @staticmethod
-    def for_k1(c2) -> "ChernData":
-        return ChernData(1, {(2,): Fraction(c2)})
-
-    @staticmethod
-    def for_k2(c2_sq, c4) -> "ChernData":
-        return ChernData(2, {(2, 2): Fraction(c2_sq), (4,): Fraction(c4)})
-
-    @staticmethod
-    def for_k3(c2_cube, c2_c4, c6) -> "ChernData":
-        return ChernData(3, {(2, 2, 2): Fraction(c2_cube),
-                             (2, 4): Fraction(c2_c4),
-                             (6,): Fraction(c6)})
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "values", MappingProxyType(vals))
 
     def euler(self) -> Fraction:
         """Value of the top class c_{2k}."""
         return self.values[(2 * self.k,)]
 
-    def __eq__(self, other):
-        return (isinstance(other, ChernData)
-                and self.k == other.k and self.values == other.values)
+    def __hash__(self):
+        return hash((self.k, frozenset(self.values.items())))
 
-    def __repr__(self):
-        return f"ChernData(k={self.k}, {self.values})"
+    def __reduce__(self):
+        return ChernData, (self.k, dict(self.values))
 
 
 def evaluate(p: ChernPolynomial, data: ChernData) -> Fraction:

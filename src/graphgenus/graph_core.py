@@ -28,6 +28,7 @@ one report it so callers can drop the term as zero.
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby, permutations, product
 from typing import Iterable, NamedTuple, Optional
 
 from .scalars import Record
@@ -252,27 +253,66 @@ def canonical_form(g: Graph) -> OrientedGraph:
 
     The canonical presentation sorts valences ascending (so univalent
     vertices take the low labels), directs every edge low -> high and
-    lists edges sorted.  The search assigns positions 0, 1, ... in turn;
-    the key of a level is the ascending tuple of positions of the new
-    vertex's earlier neighbours, and the least key over all assignments
-    wins.  Candidates at a level are tried in (level key, label) order,
-    cut off once their key exceeds the best key's at a prefix that
-    matches it.
+    lists edges sorted.  A numbering gives each vertex a position in its
+    valence block; the key of position p is the ascending tuple of
+    positions below p adjacent to the vertex there, and the least key
+    sequence over all numberings wins.
 
-    Two complete assignments with equal keys differ by an automorphism,
-    whose effect on the orientation is the ratio of their signs; if it
-    is -1 the class is zero.  Each leaf that equals the best key records
-    such an automorphism against the first leaf of that key; the result
-    carries them relabelled onto the canonical presentation.  A
-    candidate is skipped when found automorphisms fixing the assigned
-    prefix pointwise map an explored sibling onto it: its subtree is
-    the image of the sibling's, with the same keys (McKay, "Practical graph
-    isomorphism", 1981).  Zero detection survives the pruning: every
-    skipped least-key leaf is the image of an explored one under a
-    product of found automorphisms, and explored least-key leaves are
-    related to the first by found automorphisms.  So if no found
-    automorphism reverses the orientation, all least-key leaves carry
-    one sign, and no automorphism reverses it.
+    Lazy numbering.  (a) In a least numbering each block opens with a
+    run of () keys, and its members form a maximal independent set S of
+    the block's vertices with no neighbour in an earlier block: at the
+    first non-empty key every other such vertex has an earlier
+    neighbour, or its () would be less.  (b) The keys inside the run do
+    not depend on the order of S, and a member's position enters a key
+    only once a neighbour is numbered.  Exchanging the positions of two
+    members that no numbered vertex touches changes no earlier key, so in
+    a least numbering, when v is numbered its untouched run neighbours
+    take the next free positions of their run, those with more edges to
+    v first (more copies of the smaller number make v's key less); only
+    members tied in run and multiplicity may come in either order.  So
+    least numberings correspond one to one to (S, the order of the other
+    vertices, the order inside each tie).  The search walks exactly
+    these: a run level adds an untouched vertex above the previous member
+    to the set (key ()), cutting off a set that can no longer become
+    maximal (every untouched vertex passed over needs a later member
+    among its neighbours); a numbered level tries candidates in
+    (key, label) order, cut off once a key exceeds the best key's at a
+    prefix that matches it, and branches over the tie orders.
+
+    Twin edges.  If adjacent u < v of one valence have the same other
+    neighbours, swapping them is an automorphism; it is recorded with
+    its sign at once, and v never joins a run.  A least numbering whose
+    S holds such a v is carried by the swap onto one whose S holds u
+    instead, lexicographically earlier, so every least numbering is a
+    product of recorded swaps applied to one whose runs avoid the barred
+    ends.
+
+    Automorphisms.  Two numberings with equal keys differ by an
+    automorphism, whose effect on the orientation is the ratio of their
+    signs; if it is -1 the class is zero.  Every least leaf records one
+    against the first least leaf below the latest closed run (the best
+    leaf for the first such), and the result carries them relabelled onto
+    the canonical presentation.  A candidate is skipped when found
+    automorphisms that fix every numbered vertex and map the unnumbered
+    run members onto themselves map an explored sibling u onto it, v
+    (McKay, "Practical graph isomorphism", 1981); a least leaf whose
+    automorphism against its reference does that at the node where
+    their paths part returns to that node.  At a numbered level such an
+    s fixes the node's state, and keys read the run only as a set, so it
+    maps u's subtree onto v's with the same keys.  At a run level with
+    set S, a set X through v meets [0, v) in S only, while s^-1(X) holds
+    S and u < v, so the least vertex in one set and not the other lies
+    in s^-1(X): it comes earlier in the lexicographic order of sorted
+    sets.  By induction on that order, with the recorded swaps for
+    barred ends (which also lower it), every leaf below v is a product
+    of recorded automorphisms applied to an explored leaf.
+
+    Zero detection survives the pruning.  The automorphism group acts
+    freely and transitively on the least numberings, every skipped one
+    is a product of recorded automorphisms applied to an explored one,
+    and explored ones are related to the first by recorded ones.  So the
+    recorded automorphisms generate the group, and if none reverses the
+    orientation, no automorphism does.
     """
     n = g.n
     base_sign = 1
@@ -286,46 +326,150 @@ def canonical_form(g: Graph) -> OrientedGraph:
         neighbors[a].append(b)
         neighbors[b].append(a)
 
-    by_valence = [[v for v in range(n) if g.valences[v] == k] for k in (1, 3)]
-    legs = len(by_valence[0])
+    blocks = [[v for v in range(n) if g.valences[v] == k] for k in (1, 3)]
+    legs = len(blocks[0])
     pos = [-1] * n
-    order: list[int] = []
-    # positions of the assigned neighbours of every vertex, ascending
-    # because positions are handed out in increasing order: the level
-    # key of an unassigned vertex
-    earlier: list[list[int]] = [[] for _ in range(n)]
+    # the run a vertex joined (0 the legs', 1 the trivalent one) or -1,
+    # and the depths at which it joined and got its position (n: not yet)
+    run = [-1] * n
+    joined = [n] * n
+    at = [n] * n
+    # neighbours, with multiplicity, that have a position or joined a run
+    touched = [0] * n
+    next_free = [0, legs]
+    keys: list[list[int]] = []
+    # per level, the vertex placed and the run neighbours it numbered, in
+    # order (None at a run level)
+    path: list = []
     best_key: list[list[int]] = []
-    best_order: list[int] = []
+    best_pos: list[int] = []
+    best_path: list = []
     best_sign = 0
+    # position and path of the first least leaf below the latest closed run
+    ref: Optional[tuple[list[int], list]] = None
     autos: list[list[int]] = []
     zero = False
 
     def leaf_sign() -> int:
-        reversals = sum(1 for a, b in norm_edges if pos[a] > pos[b])
+        reversals = len([1 for a, b in norm_edges if pos[a] > pos[b]])
         return perm_sign(pos) * (-1 if reversals % 2 else 1)
 
-    def descend(depth: int, state: int):
+    def lazy_key(v: int) -> tuple[list[int], int, list[tuple[int, int]]]:
+        """(v's key, v, v's unnumbered run neighbours with their edge
+        multiplicities in the order they are numbered: by run, higher
+        multiplicity first)."""
+        nbrs = neighbors[v]
+        key = [pos[x] for x in nbrs if pos[x] >= 0]
+        if len(key) == len(nbrs):
+            key.sort()
+            return key, v, []
+        fresh = [x for x in nbrs if pos[x] < 0 <= run[x]]
+        if len(fresh) == 1:
+            key.append(next_free[run[fresh[0]]])
+            fresh = [(fresh[0], 1)]
+        elif fresh:
+            mult = dict.fromkeys(fresh, 0)
+            for x in fresh:
+                mult[x] += 1
+            fresh = sorted(mult.items(), key=lambda xm: (run[xm[0]], -xm[1]))
+            free = list(next_free)
+            for x, m in fresh:
+                key += [free[run[x]]] * m
+                free[run[x]] += 1
+        key.sort()
+        return key, v, fresh
+
+    def numberings(members: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+        """Every order of the members that gives their numbering vertex
+        its least key: those tied in run and multiplicity permuted."""
+        if len(members) < 2:
+            return [tuple(x for x, _ in members)]
+        groups = groupby(members, key=lambda xm: (run[xm[0]], xm[1]))
+        return [tuple(x for grp in choice for x, _ in grp)
+                for choice in product(*(permutations(grp) for _, grp in groups))]
+
+    def run_candidates(block: list[int], last: int) -> Optional[list[int]]:
+        """Untouched vertices above ``last`` that may join the run next;
+        None when the run can no longer become maximal.  Every untouched
+        vertex passed over needs a later member among its neighbours."""
+        out: list[int] = []
+        bound, blocked = n, False
+        for x in block:
+            if pos[x] >= 0 or run[x] >= 0 or touched[x]:
+                continue
+            if x > last and not barred[x]:
+                if x > bound:
+                    break
+                out.append(x)
+            blocked = True
+            bound = min(bound, max([y for y in neighbors[x] if g.valences[y] == g.valences[x]
+                                    and pos[y] < 0 > run[y] and not touched[y] | barred[y]],
+                                   default=-1))
+        return out if out or not blocked else None
+
+    def stabilizes(s: list[int], depth: int) -> bool:
+        """s fixes every vertex numbered above ``depth`` and maps the run
+        members not numbered there onto themselves."""
+        for u in range(n):
+            if at[u] < depth:
+                if s[u] != u:
+                    return False
+            elif joined[u] < depth and not at[s[u]] >= depth > joined[s[u]]:
+                return False
+        return True
+
+    def leaf(state: int) -> int:
+        """Record a leaf.  After an automorphism, the depth of the node
+        to resume at, else n + 1."""
+        nonlocal best_key, best_pos, best_path, best_sign, ref, zero
+        if state < 0:
+            best_key, best_pos, best_path, best_sign = list(keys), list(pos), list(path), leaf_sign()
+            ref = (best_pos, best_path)
+            return n + 1
+        if ref is None:
+            ref_pos, ref_path = best_pos, best_path
+            ref = (list(pos), list(path))
+        else:
+            ref_pos, ref_path = ref
+        order = [0] * n
+        for v, p in enumerate(pos):
+            order[p] = v
+        sigma = [order[p] for p in ref_pos]
+        autos.append(sigma)
+        zero = zero or leaf_sign() != best_sign
+        split = next(d for d in range(n) if path[d] != ref_path[d])
+        if sigma[ref_path[split][0]] == path[split][0] and stabilizes(sigma, split):
+            return split
+        return n + 1
+
+    def descend(depth: int, state: int, last: Optional[int]) -> int:
         """state -1: the prefix beats the best key (or there is none
-        yet); 0: it equals the best key's prefix."""
-        nonlocal best_key, best_order, best_sign, zero
+        yet); 0: it equals the best key's prefix.  ``last`` is the latest
+        member of the block's open run, -1 before the first, None once
+        the run is closed.  Returns the depth of the node to resume at
+        when an automorphism maps an explored branch onto the current
+        one, else n + 1."""
+        nonlocal ref
         if depth == n:
-            if state < 0:
-                best_key = [[p for p in earlier[v] if p < i] for i, v in enumerate(order)]
-                best_order, best_sign = list(order), leaf_sign()
+            return leaf(state)
+        block = blocks[depth >= legs]
+        if last is not None:
+            joining = run_candidates(block, last)
+            if joining is None:
+                return n + 1
+            if joining:
+                cands = [([], v, None) for v in joining]
             else:
-                sigma = [0] * n
-                for u, w in zip(best_order, order):
-                    sigma[u] = w
-                autos.append(sigma)
-                zero = zero or leaf_sign() != best_sign
-            return
-        free = [v for v in by_valence[depth >= legs] if pos[v] < 0]
+                ref = last = None
+        if last is None:
+            cands = sorted([lazy_key(v) for v in block if pos[v] < 0 > run[v]])
+        # after the last leg the trivalent block opens with its run
+        opening = -1 if depth + 1 == legs else None
         explored: list[int] = []
-        # orbits of the found automorphisms that fix the prefix pointwise,
+        # orbits of the found automorphisms that stabilize the node,
         # merged in as the search below finds them
         orbits, merged = [], 0
-        for v in sorted(free, key=earlier.__getitem__):
-            key_v = earlier[v]
+        for key_v, v, members in cands:
             child = state
             if state == 0:
                 if key_v > best_key[depth]:
@@ -335,37 +479,72 @@ def canonical_form(g: Graph) -> OrientedGraph:
             if explored and merged < len(autos):
                 orbits = orbits or list(range(n))
                 for s in autos[merged:]:
-                    if all(s[u] == u for u in order):
+                    if stabilizes(s, depth):
                         for x in range(n):
                             orbits[_find(orbits, x)] = _find(orbits, s[x])
                 merged = len(autos)
             if orbits:
                 root = _find(orbits, v)
-                if any(_find(orbits, u) == root for u in explored):
+                if root in [_find(orbits, u) for u in explored]:
                     continue
-            pos[v] = depth
-            order.append(v)
+            before = best_key
+            keys.append(key_v)
             for u in neighbors[v]:
-                earlier[u].append(depth)
-            descend(depth + 1, child)
+                touched[u] += 1
+            if last is not None:
+                run[v], joined[v] = int(depth >= legs), depth
+                path.append((v, None))
+                back = descend(depth + 1, child, v if opening is None else opening)
+                path.pop()
+                run[v], joined[v] = -1, n
+            else:
+                pos[v], at[v] = depth, depth
+                for order in numberings(members):
+                    for x in order:
+                        pos[x], at[x] = next_free[run[x]], depth
+                        next_free[run[x]] += 1
+                    path.append((v, order))
+                    back = descend(depth + 1, child, opening)
+                    path.pop()
+                    for x in order:
+                        next_free[run[x]] -= 1
+                        pos[x], at[x] = -1, n
+                    if best_key is not before:
+                        child = 0
+                    if back < depth:
+                        break
+                pos[v], at[v] = -1, n
             for u in neighbors[v]:
-                earlier[u].pop()
-            order.pop()
-            pos[v] = -1
+                touched[u] -= 1
+            keys.pop()
+            if back < depth:
+                return back
             explored.append(v)
-            # the prefix matched the best key already, or a leaf below
-            # has just set a best key that extends it
-            state = 0
+            if best_key is not before:
+                state = 0
+        return n + 1
 
-    descend(0, -1)
+    # swapping the ends of an edge whose other neighbours agree is an
+    # automorphism; the higher end never joins a run (see the docstring)
+    barred = [False] * n
+    for u, v in set(norm_edges):
+        if (g.valences[u] == g.valences[v] and sorted([x for x in neighbors[u] if x != v])
+                == sorted([x for x in neighbors[v] if x != u])):
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            autos.append(swap)
+            barred[v] = True
+            # the transposition is odd, so an even number of turned edges reverses
+            zero = zero or sum(1 for a, b in norm_edges if swap[a] > swap[b]) % 2 == 0
+    descend(0, -1, -1)
 
     # the least key determines the sorted edge list uniquely
     canon_edges = sorted((lo, hi) for hi, lows in enumerate(best_key) for lo in lows)
     canon = Graph(tuple(sorted(g.valences)), tuple(canon_edges))
     # canonical vertex i is best_order[i]: carry every automorphism over
-    best_pos = [0] * n
-    for i, v in enumerate(best_order):
-        best_pos[v] = i
+    best_order = [0] * n
+    for v, p in enumerate(best_pos):
+        best_order[p] = v
     carried = frozenset(tuple(best_pos[sigma[v]] for v in best_order) for sigma in autos)
     return OrientedGraph(canon, 0 if zero else base_sign * best_sign, carried)
 

@@ -129,7 +129,12 @@ class PiScalar(Record):
 
     __slots__ = ("coef", "pi2")
 
-    def __init__(self, coef: Fraction, pi2: int = 0):
+    def __init__(self, coef: Fraction | int, pi2: int = 0):
+        if not isinstance(coef, Fraction):
+            if not isinstance(coef, int):
+                raise ValueError(f"a PiScalar coefficient is a Fraction or an int, "
+                                 f"not {type(coef).__name__}")
+            coef = Fraction(coef)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "pi2", pi2)
 
@@ -399,15 +404,20 @@ def _graded_sum(parts: Sequence, graded: Sequence, w: int, zero):
     acc = zero
     for j in range(1, min(w, len(parts) - 1) + 1):
         if parts[j] and graded[w - j]:
-            acc = acc + parts[j] * graded[w - j] * j
+            acc = acc + parts[j] * j * graded[w - j]
     return acc
 
 
 def graded_exp(parts: Sequence, zero, one) -> list:
     """[E_0, ..., E_n] for E = exp(L), L = parts[1] + ... + parts[n] graded
     by weight: the grading is a derivation, so w E_w = sum_j j L_j E_{w-j}."""
-    graded = [one]
-    for w in range(1, len(parts)):
+    return extend_exp(parts, [one], zero)
+
+
+def extend_exp(parts: Sequence, graded: list, zero) -> list:
+    """Extend the weights [E_0, ..., E_m] of exp(L) in place through
+    weight n = len(parts) - 1; E_w needs only L_1, ..., L_w."""
+    for w in range(len(graded), len(parts)):
         graded.append(_graded_sum(parts, graded, w, zero) * Fraction(1, w))
     return graded
 

@@ -153,6 +153,37 @@ def test_pruned_search_matches_the_referee(g):
     assert canonical_form.__wrapped__(g) == referee_canonical_form(g)
 
 
+PARTITIONS = ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
+              (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+FAMILIES = (
+    [(f"w{''.join(map(str, lam))}", [wheel(2 * l) for l in lam]) for lam in PARTITIONS]
+    + [(f"line^{m}.w{l}", [line()] * m + [wheel(2 * l)]) for m in (1, 2) for l in (1, 2)]
+    + [(f"theta^{m}", [theta()] * m) for m in range(1, 6)])
+
+
+@pytest.mark.parametrize("factors", [f for _, f in FAMILIES], ids=[i for i, _ in FAMILIES])
+def test_lazy_numbering_matches_the_referee_on_products(factors):
+    # wheel products w_2lambda with |lambda| <= 4, lines joined to wheels
+    # and theta powers: runs of many untouched vertices and large groups
+    h = represent(random.Random(len(factors)), product_of(factors))[0]
+    og = canonical_form.__wrapped__(h)
+    assert og == referee_canonical_form(h)
+    check_automorphisms(og)
+
+
+def test_lazy_numbering_matches_the_referee_with_up_to_eight_legs():
+    rng = random.Random(31)
+    seen = set()
+    while len(seen) < 40:
+        g = random_unitrivalent(rng, max_vertices=12)
+        if not 5 <= len(g.legs()) <= 8:
+            continue
+        seen.add(g)
+        og = canonical_form.__wrapped__(g)
+        assert og == referee_canonical_form(g), g
+        check_automorphisms(og)
+
+
 @settings(deadline=None, max_examples=200)
 @given(presentations())
 def test_recorded_automorphisms_are_automorphisms(g):

@@ -246,6 +246,27 @@ def test_one_degree_mismatch_class():
     assert genus.DegreeMismatch is graph_algebra.DegreeMismatch
 
 
+@pytest.mark.parametrize("argv", [["normalize"], ["reduce", "--k", "1"]], ids=" ".join)
+def test_truncated_input_names_its_last_line(tmp_path, argv):
+    path = tmp_path / "cut.txt"
+    path.write_text("graph {\nvertices 2")
+    code, out, err = run_cli(argv + [str(path)])
+    assert (code, out, err) == (2, "", "unexpected end of input at line 2\n")
+
+
+@pytest.mark.parametrize("digits, code", [(4300, 0), (4301, 2)])
+def test_integer_coefficient_at_the_digit_bound(tmp_path, digits, code):
+    # no exponent: Python's own int<->str bound of 4,300 digits applies
+    literal = "7" * digits
+    path = tmp_path / "v.txt"
+    path.write_text(f"coeff {literal} graph {{ vertices 2 ; edge 0 1 ; edge 0 1 ; edge 0 1 ; }}\n")
+    got, out, err = run_cli(["reduce", "--k", "1", str(path)])
+    if code:
+        assert (got, out, err) == (2, "", f"bad rational {literal!r} at line 1\n")
+    else:
+        assert (got, err) == (0, "") and literal in out
+
+
 def test_zero_denominator_coefficient(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("coeff 1/0 graph { vertices 2 ; edge 0 1 ; edge 0 1 ; edge 0 1 ; }\n")

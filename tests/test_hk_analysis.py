@@ -17,17 +17,18 @@ from graphgenus.scalars import PiScalar, Root
 
 
 def k1_data(c2, vol=1, **kw) -> ManifoldData:
-    return ManifoldData(k=1, chern=ChernData.for_k1(F(c2)),
+    return ManifoldData(k=1, chern=ChernData(1, {(2,): F(c2)}),
                         volume=PiScalar.of(F(vol)), **kw)
 
 
 def k2_data(c2_sq, c4, vol=1, **kw) -> ManifoldData:
-    return ManifoldData(k=2, chern=ChernData.for_k2(F(c2_sq), F(c4)),
+    return ManifoldData(k=2, chern=ChernData(2, {(2, 2): F(c2_sq), (4,): F(c4)}),
                         volume=PiScalar.of(F(vol)), **kw)
 
 
 def k3_data(c2_cube, c2_c4, c6, vol=1, **kw) -> ManifoldData:
-    return ManifoldData(k=3, chern=ChernData.for_k3(F(c2_cube), F(c2_c4), F(c6)),
+    return ManifoldData(k=3, chern=ChernData(3, {(2, 2, 2): F(c2_cube), (2, 4): F(c2_c4),
+                                                 (6,): F(c6)}),
                         volume=PiScalar.of(F(vol)), **kw)
 
 
@@ -170,7 +171,7 @@ def test_irrational_constant_rounds_from_the_exact_root():
 def test_c_theta_when_only_a_factor_leaves_the_double_range():
     # vol = 3e-700 pi^1300 is about 6e-54: c_theta's coefficient alone (about
     # 1e676) has no double, but c_theta, about 3.4e29, has one
-    d = ManifoldData(k=2, chern=ChernData.for_k2(F(828), F(324)),
+    d = ManifoldData(k=2, chern=ChernData(2, {(2, 2): F(828), (4,): F(324)}),
                      volume=PiScalar.of(F(3, 10 ** 700), 650))
     assert float(validate(d).c_theta) == pytest.approx(3.44340507380e29, rel=1e-12)
 
@@ -271,10 +272,10 @@ def test_measured_norm_rescues_c_theta():
 
 def test_manifold_data_validation():
     with pytest.raises(ValueError):
-        ManifoldData(k=0, chern=ChernData.for_k1(F(24)),
+        ManifoldData(k=0, chern=ChernData(1, {(2,): F(24)}),
                      volume=PiScalar.of(1))
     with pytest.raises(ValueError):
-        ManifoldData(k=1, chern=ChernData.for_k2(F(1), F(1)),
+        ManifoldData(k=1, chern=ChernData(2, {(2, 2): F(1), (4,): F(1)}),
                      volume=PiScalar.of(1))
     with pytest.raises(ValueError):
         k1_data(24, vol=-3)

@@ -15,7 +15,7 @@ from graphgenus import (
 
 
 def _manifold(**changes):
-    fields = dict(k=1, chern=ChernData.for_k1(24), volume=PiScalar.of(1))
+    fields = dict(k=1, chern=ChernData(1, {(2,): 24}), volume=PiScalar.of(1))
     return ManifoldData(**{**fields, **changes})
 
 
@@ -75,6 +75,27 @@ def test_every_record_is_immutable():
             delattr(record, name)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def test_chern_data_is_immutable_inside_manifold_data():
+    d = _manifold()
+    with pytest.raises(AttributeError):
+        d.chern = ChernData(1, {(2,): 0})
+    for chern in (d.chern, ChernData(2, {(2, 2): 828, (4,): 324})):
+        with pytest.raises(AttributeError):
+            chern.k = 3
+        with pytest.raises(TypeError):
+            chern.values[(2,)] = -7
+        with pytest.raises(AttributeError):
+            chern.values.clear()
+    assert d.chern.values == {(2,): 24}
+    # equal, hashed and pickled by value
+    k2 = ChernData(2, {(4,): 324, (2, 2): 828})
+    assert k2 == ChernData(2, {(2, 2): F(828), (4,): F(324)})
+    assert hash(k2) == hash(ChernData(2, {(2, 2): 828, (4,): 324}))
+    assert k2 != ChernData(2, {(2, 2): 828, (4,): 325})
+    for clone in (copy.copy(k2), copy.deepcopy(k2), pickle.loads(pickle.dumps(k2))):
+        assert clone == k2 and clone.values == k2.values
 
 
 def test_slotted_records_copy_and_pickle():

@@ -156,6 +156,17 @@ def test_plain_numbers_coerce_at_grade_zero():
     assert 3 * PiScalar.of(2, 1) == PiScalar.of(6, 1)
 
 
+def test_constructor_converts_an_int_and_refuses_a_float():
+    x = PiScalar(3, 1)
+    assert type(x.coef) is Fraction and x == PiScalar.of(3, 1)
+    with pytest.raises(ValueError, match="not float"):
+        PiScalar(2.0)
+    with pytest.raises(ValueError):
+        PiScalar(2.0) * PiScalar.of(3)
+    # the explicit converter still reads a float exactly
+    assert PiScalar.of(0.5) == PiScalar(Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # roots stay exact when they can
 
