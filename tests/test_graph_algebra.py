@@ -16,7 +16,7 @@ from graphgenus.graph_algebra import (
     power, reduce, theta_vector, trivalent_part,
 )
 from graphgenus.graph_core import (
-    Graph, OrientedGraph, _restrict, canonical_form, concat, empty_graph, line,
+    Graph, GraphParseError, OrientedGraph, _restrict, canonical_form, concat, empty_graph, line,
     perm_sign, theta, wheel,
 )
 from graphgenus.scalars import accumulate
@@ -541,6 +541,25 @@ def test_parse_vector_accepts_sign_lines_and_bare_blocks():
     assert parse_vector(block) == theta_vector()
     assert parse_vector(f"sign -1\n{block}") == -theta_vector()
     assert parse_vector(f"sign 0\n{block}") == GraphVector.zero()
+
+
+def test_vector_reader_errors():
+    block = "graph { vertices 0 ; }"
+    cases = [
+        (f"sign 2 {block}", "bad sign '2'", 1),
+        (f"sign\n +2\n {block}", "bad sign '+2'", 2),
+        ("sign", "unexpected end of input", 1),
+        ("coeff", "unexpected end of input", 1),
+        (f"coeff 1 {block}\ncoeff", "unexpected end of input", 2),
+        ("coeff 1\n", "unexpected end of input", 1),
+        (f"coeff x {block}", "bad rational 'x'", 1),
+        (f"coeff 1 {block}\ncoeff\n 1/0 {block}", "bad rational '1/0'", 3),
+        (f"coeff 1 {block} {block} ;", "expected 'graph', found ';'", 1),
+    ]
+    for text, message, lineno in cases:
+        with pytest.raises(GraphParseError) as info:
+            parse_vector(text)
+        assert (info.value.message, info.value.lineno) == (message, lineno), text
 
 
 def test_parse_vector_sums_concatenated_streams():

@@ -428,13 +428,28 @@ def test_parse_vertex_count_bounded_by_edge_ends():
 
 
 def test_parse_structural_errors():
-    with pytest.raises(GraphParseError):
-        parse_graph("graph { edge 0 1 ; }")  # no vertices statement
-    with pytest.raises(GraphParseError):
-        parse_graph("graph { vertices 2 ;")  # unterminated
-    with pytest.raises(GraphParseError):
-        parse_graph("graph { vertices two ; }")
-    with pytest.raises(GraphParseError):
-        parse_graph("graph { vertices 0 ; } trailing")
-    with pytest.raises(GraphParseError):
-        parse_graph("graph { frobnicate 1 ; vertices 0 ; }")
+    cases = [
+        ("graph { edge 0 1 ; }", "graph block must declare vertices", 1),
+        ("graph {\n edge 0 1 ;\n}", "graph block must declare vertices", 1),
+        ("graph { vertices 2 ;", "unterminated graph block", 1),
+        ("graph {\n vertices 2 ;\n", "unterminated graph block", 2),
+        ("graph {", "unterminated graph block", 1),
+        ("graph { vertices two ; }", "expected an integer, found 'two'", 1),
+        ("graph {\n vertices 2 ;\n edge 0 x ; }", "expected an integer, found 'x'", 3),
+        ("graph { vertices 0 ; } trailing", "trailing input 'trailing'", 1),
+        ("graph { vertices 0 ; }\n\n more", "trailing input 'more'", 3),
+        ("graph { frobnicate 1 ; vertices 0 ; }", "unknown statement 'frobnicate'", 1),
+        ("graph { vertices 0 }", "expected ';', found '}'", 1),
+        ("graph { vertices 2 ;\n edge 0 1 edge 0 1 ; }", "expected ';', found 'edge'", 2),
+        ("graph\n vertices 0 ; }", "expected '{', found 'vertices'", 2),
+        ("grph { vertices 0 ; }", "expected 'graph', found 'grph'", 1),
+        ("", "unexpected end of input", 1),
+        ("graph {\nvertices", "unexpected end of input", 2),
+        ("graph { valence 0", "unexpected end of input", 1),
+    ]
+    for text, message, lineno in cases:
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert (info.value.message, info.value.lineno) == (message, lineno), text
+        assert str(info.value) == f"{message} at line {lineno}"
+
