@@ -32,10 +32,10 @@ CHERN_FLAGS = {
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process.  Sharing it is safe: parse_args
-    returns a fresh Namespace on every call, and argparse writes usage
-    errors to whatever sys.stderr is at that moment."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its subcommand parsers by name.
+    Sharing them is safe: parse_args returns a fresh Namespace per call,
+    and argparse writes usage errors to the sys.stderr of that moment."""
     p = argparse.ArgumentParser(
         prog="graphgenus",
         description="oriented trivalent graph homology, wheels, genera, "
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sl2, gl(N) (also gl2, gl3, ...), abelian(d)")
     sp.add_argument("file")
 
-    return p
+    return p, sub.choices
 
 
 def _read(path: str) -> str:
@@ -195,8 +195,12 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:  # the top level would classify every argument
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = parser.parse_args(argv)  # no command: usage or help, and exit
     try:
         return _run(args)
     except GraphParseError as exc:

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _TokenStream, _find, _tokenize,
+    Graph, GraphParseError, OrientedGraph, _find, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
     parse_graph_block, theta, to_cyclic,
 )
@@ -370,28 +370,23 @@ def parse_vector(text: str) -> GraphVector:
     Also accepts bare graph blocks (coefficient one) and the
     normalize output (a leading 'sign' line before a block).
     """
-    stream = _TokenStream(_tokenize(text))
+    words, lines = _tokenize(text)
     out = GraphVector.zero()
-    while stream.peek() is not None:
-        tok = stream.peek()
+    i = 0
+    while i < len(words):
+        word = words[i]
         coeff = Fraction(1)
-        if tok == "coeff":
-            stream.next()
-            lineno = stream.line()
-            raw = stream.next()
+        if word == "coeff" or word == "sign":
+            if i + 1 == len(words):
+                raise GraphParseError("unexpected end of input", lines[i])
+            raw, lineno = words[i + 1], lines[i + 1]
+            i += 2
+            if word == "sign" and raw not in ("+1", "-1", "0", "1"):
+                raise GraphParseError(f"bad sign {raw!r}", lineno)
             try:
                 coeff = parse_rational(raw)
             except ValueError:
                 raise GraphParseError(f"bad rational {raw!r}", lineno) from None
-        elif tok == "sign":
-            stream.next()
-            lineno = stream.line()
-            raw = stream.next()
-            if raw not in ("+1", "-1", "0", "1"):
-                raise GraphParseError(f"bad sign {raw!r}", lineno)
-            coeff = parse_rational(raw)
-        g = parse_graph_block(stream)
-        if g.n == 0 and coeff == 0:
-            continue
-        out.add_presentation(g, coeff)
+        g, i = parse_graph_block(words, lines, i)
+        out.add_presentation(g, coeff)  # drops a zero coefficient
     return out

@@ -689,83 +689,76 @@ class GraphParseError(GraphError):
         self.lineno = lineno
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The whitespace-separated words of text and the line of each."""
+    words: list[str] = []
+    lines: list[int] = []
     for lineno, linetext in enumerate(text.splitlines(), start=1):
-        for tok in linetext.split():
-            out.append((tok, lineno))
-    return out
+        split = linetext.split()
+        words += split
+        lines += [lineno] * len(split)
+    return words, lines
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def line(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return self.tokens[-1][1] if self.tokens else 1
-
-    def next(self, expect: str | None = None) -> str:
-        if self.i >= len(self.tokens):
-            raise GraphParseError("unexpected end of input", self.line())
-        tok, lineno = self.tokens[self.i]
-        self.i += 1
-        if expect is not None and tok != expect:
-            raise GraphParseError(f"expected {expect!r}, found {tok!r}", lineno)
-        return tok
-
-    def next_int(self) -> int:
-        lineno = self.line()
-        tok = self.next()
+def _parse_error(words: list[str], lines: list[int], j: int,
+                 expect: str | None = None) -> GraphParseError:
+    """The error for word j, which is not ``expect``; with no ``expect``,
+    for the first of words[j:] that is not an integer."""
+    while expect is None and j < len(words):
         try:
-            return int(tok)
+            int(words[j])
         except ValueError:
-            raise GraphParseError(f"expected an integer, found {tok!r}", lineno) from None
+            return GraphParseError(f"expected an integer, found {words[j]!r}", lines[j])
+        j += 1
+    if j >= len(words):
+        return GraphParseError("unexpected end of input", lines[-1] if lines else 1)
+    return GraphParseError(f"expected {expect!r}, found {words[j]!r}", lines[j])
 
 
-def parse_graph_block(stream: _TokenStream) -> Graph:
-    """Read one ``graph { ... }`` block and build it through make_graph.
+def parse_graph_block(words: list[str], lines: list[int], i: int) -> tuple[Graph, int]:
+    """Read the ``graph { ... }`` block at word i and build it through
+    make_graph; returns the graph and the index of the word after it.
 
     Checked here, before anything is allocated: the vertex count lies in
     0..2E for E edges (every vertex needs an edge end), and valence lines
     name existing vertices.  make_graph's errors come back at the line of
     the offending statement."""
-    start_line = stream.line()
-    stream.next("graph")
-    stream.next("{")
+    n = len(words)
+    for j, expect in ((i, "graph"), (i + 1, "{")):
+        if j >= n or words[j] != expect:
+            raise _parse_error(words, lines, j, expect)
+    start_line = count_line = lines[i]
+    i += 2
     vertex_count: int | None = None
-    count_line = start_line
     declared: dict[int, tuple[int, int]] = {}  # vertex -> (valence, line)
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            raise GraphParseError("unterminated graph block", stream.line())
-        if tok == "}":
-            stream.next()
+    while True:  # one statement per turn
+        if i >= n:
+            raise GraphParseError("unterminated graph block", lines[-1])
+        word = words[i]
+        if word == "}":
+            i += 1
             break
-        lineno = stream.line()
-        word = stream.next()
-        if word == "vertices":
-            vertex_count = stream.next_int()
-            count_line = lineno
-        elif word == "valence":
-            v = stream.next_int()
-            declared[v] = (stream.next_int(), lineno)
-        elif word == "edge":
-            a = stream.next_int()
-            b = stream.next_int()
-            edges.append((a, b))
-            edge_lines.append(lineno)
-        else:
+        lineno = lines[i]
+        if word not in ("edge", "valence", "vertices"):
             raise GraphParseError(f"unknown statement {word!r}", lineno)
-        stream.next(";")
+        try:
+            if word == "edge":
+                edges.append((int(words[i + 1]), int(words[i + 2])))
+                edge_lines.append(lineno)
+                i += 3
+            elif word == "valence":
+                declared[int(words[i + 1])] = (int(words[i + 2]), lineno)
+                i += 3
+            else:
+                vertex_count, count_line = int(words[i + 1]), lineno
+                i += 2
+        except (ValueError, IndexError):
+            raise _parse_error(words, lines, i + 1) from None
+        if i >= n or words[i] != ";":
+            raise _parse_error(words, lines, i, ";")
+        i += 1
     if vertex_count is None:
         raise GraphParseError("graph block must declare vertices", start_line)
     if not 0 <= vertex_count <= 2 * len(edges):
@@ -777,7 +770,7 @@ def parse_graph_block(stream: _TokenStream) -> Graph:
     # undeclared vertices are trivalent
     valences = [declared[v][0] if v in declared else 3 for v in range(vertex_count)]
     try:
-        return make_graph(vertex_count, valences, edges)
+        return make_graph(vertex_count, valences, edges), i
     except GraphError as exc:
         name = type(exc).__name__
         if exc.edge is not None:
@@ -789,10 +782,10 @@ def parse_graph_block(stream: _TokenStream) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    stream = _TokenStream(_tokenize(text))
-    g = parse_graph_block(stream)
-    if stream.peek() is not None:
-        raise GraphParseError(f"trailing input {stream.peek()!r}", stream.line())
+    words, lines = _tokenize(text)
+    g, i = parse_graph_block(words, lines, 0)
+    if i < len(words):
+        raise GraphParseError(f"trailing input {words[i]!r}", lines[i])
     return g
 
 

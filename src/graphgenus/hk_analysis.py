@@ -69,10 +69,10 @@ def euler_number(d: ManifoldData) -> Fraction:
     return d.chern.euler()
 
 
-def curvature_norm(d: ManifoldData) -> PiScalar | Root:
+def curvature_norm(d: ManifoldData, sqrt_ahat: Fraction | None = None) -> PiScalar | Root:
     """||R||^2 = 192 pi^2 k (vol^(k-1) sqrtAhat[M])^(1/k)
     = ((192 pi^2 k)^k vol^(k-1) sqrtAhat[M])^(1/k)."""
-    s = sqrt_ahat_number(d)
+    s = sqrt_ahat_number(d) if sqrt_ahat is None else sqrt_ahat
     if s <= 0:
         raise NonpositiveSqrtAhat(
             f"sqrtAhat[M] = {s} is not positive; the norm identity fails")
@@ -80,9 +80,10 @@ def curvature_norm(d: ManifoldData) -> PiScalar | Root:
     return (PiScalar.of(192 * k, 1) ** k * d.volume ** (k - 1) * s).root(k)
 
 
-def b_theta_k(d: ManifoldData) -> Fraction:
+def b_theta_k(d: ManifoldData, sqrt_ahat: Fraction | None = None) -> Fraction:
     """Coefficient of the k-fold double-edge graph: 48^k k! sqrtAhat[M]."""
-    return Fraction(48 ** d.k * math.factorial(d.k)) * sqrt_ahat_number(d)
+    s = sqrt_ahat_number(d) if sqrt_ahat is None else sqrt_ahat
+    return Fraction(48 ** d.k * math.factorial(d.k)) * s
 
 
 def curvature_norm_via_b(d: ManifoldData) -> PiScalar | Root:
@@ -164,7 +165,7 @@ def validate(d: ManifoldData) -> AnalysisReport:
     sqrt_a = sqrt_ahat_number(d)
     ahat = ahat_number(d)
     euler = euler_number(d)
-    b = b_theta_k(d)
+    b = b_theta_k(d, sqrt_a)
 
     verdicts: list[tuple[str, str]] = []
     # ChernData admits only even classes, so the vanishing is structural
@@ -175,7 +176,7 @@ def validate(d: ManifoldData) -> AnalysisReport:
 
     norm = d.norm_R_sq
     if norm is None and sqrt_a > 0:
-        norm = curvature_norm(d)
+        norm = curvature_norm(d, sqrt_a)
     c = None if norm is None else c_theta(d, norm)
 
     if d.k == 2:

@@ -21,7 +21,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .scalars import PiScalar
 from .graph_core import Graph, concat, line, weld_all, wheel
@@ -58,7 +59,7 @@ def b_coefficients(n_max: int) -> dict[int, Fraction]:
 class OmegaTruncation(NamedTuple):
     """Wheeled exponential cut at total wheel weight k."""
     k: int
-    b_table: dict[int, Fraction]
+    b_table: Mapping[int, Fraction]
     # (ascending wheel-weight partition, exact coefficient), sorted by
     # (total weight, partition); () is the empty-graph term
     partition_terms: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -67,14 +68,20 @@ class OmegaTruncation(NamedTuple):
 def omega(k: int) -> OmegaTruncation:
     """The terms of exp(sum_n b_2n s_2n) through weight 2k, where the
     commuting s_2n stand for the wheels w_2n: one exponential, and no
-    wheel product is built or canonicalized."""
-    check_bound(k)
+    wheel product is built or canonicalized.  Cached per k and shared,
+    so b_table is read-only."""
+    check_bound(k)  # enforced even on cache hits, as in ihx_relations
+    return _omega(k)
+
+
+@functools.cache
+def _omega(k: int) -> OmegaTruncation:
     b = b_coefficients(max(k, 1))
     exponent = ChernPolynomial("s", {(n,): c for n, c in b.items()})
     terms = [(tuple(n // 2 for n in mono), coeff)
              for mono, coeff in exponent.exp_truncated(2 * k).items()]
     terms.sort(key=lambda term: (sum(term[0]), term[0]))
-    return OmegaTruncation(k, b, tuple(terms))
+    return OmegaTruncation(k, MappingProxyType(b), tuple(terms))
 
 
 def _wheel_product(parts) -> Graph:

@@ -364,6 +364,37 @@ def test_usage_errors_exit_2(argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--k", "2", "dim"]], ids=repr)
+def test_no_command_prints_the_top_level_usage(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: graphgenus [-h]") and "graphgenus: error:" in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["dim", "--k", "two"], "graphgenus dim"),
+    (["dim", "--k", "2", "extra"], "graphgenus dim"),
+    (["dim"], "graphgenus dim"),
+    (["genus", "--series", "chern", "--k", "1"], "graphgenus genus"),
+    (["analyze", "--k", "4", "--vol", "1"], "graphgenus analyze"),
+    (["ihx"], "graphgenus ihx"),
+    (["ihx", "emit", "--k", "3", "--index", "x"], "graphgenus ihx emit"),
+], ids=" ".join)
+def test_usage_error_after_a_command_prints_its_usage(argv, usage):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {usage} [-h]")
+    assert f"{usage}: error:" in err
+
+
+def test_console_entry_reads_sys_argv():
+    src = Path(graphgenus.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-m", "graphgenus.cli", "dim", "--k", "2"],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "2\n", "")
+
+
 def test_one_parser_serves_successive_calls():
     assert cli.build_parser() is cli.build_parser()
     relations = [graph_algebra.format_vector(r) + "\n"

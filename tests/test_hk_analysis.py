@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from graphgenus.genus import ChernData, builtin_genera
+from graphgenus import hk_analysis
+from graphgenus.genus import ChernData, builtin_genera, evaluate
 from graphgenus.hk_analysis import (
     AnalysisReport, ManifoldData, MissingNorm, NonpositiveSqrtAhat,
     REPORT_KEYS, ahat_number, b_theta_k, b_theta_via_c, c_theta,
@@ -68,6 +69,22 @@ def test_k3_report_renders_frozen_text():
         "verdicts.ahat_equals_k_plus_1 pass",
         "verdicts.sqrt_ahat_positive pass",
     ])
+
+
+@pytest.mark.parametrize("d", [k1_data(24), k2_data(828, 324),
+                               k3_data(36800, 14720, 3200, vol=F(7, 3))])
+def test_validate_evaluates_each_genus_once(monkeypatch, d):
+    calls = []
+
+    def counted(poly, chern):
+        calls.append(poly)
+        return evaluate(poly, chern)
+
+    monkeypatch.setattr(hk_analysis, "evaluate", counted)
+    rep = validate(d)
+    genera = builtin_genera()
+    assert calls == [genera["sqrt_ahat"].polynomial(d.k), genera["ahat"].polynomial(d.k)]
+    assert rep.b_theta_k == b_theta_k(d) and rep.norm_R_sq == curvature_norm(d)
 
 
 def test_report_key_order_stable():

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from graphgenus.graph_algebra import (
-    GraphVector, ihx_relations, product, power, reduce as ihx_reduce,
+    BoundExceeded, GraphVector, ihx_relations, product, power, reduce as ihx_reduce,
     theta_vector, trivalent_part,
 )
 from graphgenus.graph_core import Graph, canonical_form, concat, line, theta, wheel
@@ -94,6 +94,20 @@ def test_omega_three_extends_table():
     assert terms[(1, 1, 1)] == F(1, 48) ** 3 / 6
     assert terms[(1, 2)] == F(1, 48) * F(-1, 5760)
     assert terms[(3,)] == F(1, 362880)
+
+
+def test_cached_omega_is_read_only_and_still_bounded(monkeypatch):
+    om = omega(2)
+    assert omega(2) is om
+    with pytest.raises(TypeError):
+        om.b_table[2] = F(0)
+    with pytest.raises(TypeError):
+        del om.b_table[2]
+    assert omega(2).b_table == b_coefficients(2)
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "1")
+    with pytest.raises(BoundExceeded):
+        omega(2)
+    assert omega(1).k == 1
 
 
 def omega_vector(k: int) -> GraphVector:
