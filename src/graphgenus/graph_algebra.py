@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _find, _tokenize,
+    Graph, GraphParseError, OrientedGraph, _find, _parse_error, _tokenize,
     canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
     parse_graph_block, theta, to_cyclic,
 )
@@ -378,7 +378,7 @@ def parse_vector(text: str) -> GraphVector:
         coeff = Fraction(1)
         if word == "coeff" or word == "sign":
             if i + 1 == len(words):
-                raise GraphParseError("unexpected end of input", lines[i])
+                raise _parse_error(words, lines, i + 1)  # end of input
             raw, lineno = words[i + 1], lines[i + 1]
             i += 2
             if word == "sign" and raw not in ("+1", "-1", "0", "1"):
