@@ -9,16 +9,15 @@ from .graph_core import (
     line, make_graph, parse_graph, theta, to_cyclic, weld_all, wheel,
 )
 from .graph_algebra import (
-    AlgebraError, BoundExceeded, DegreeMismatch as VectorDegreeMismatch,
-    GraphVector, RelationSet, add, degree_bound, dimension,
-    enumerate_trivalent, format_vector, ihx_relations, parse_vector, power,
-    product, reduce, scale, trivalent_part,
+    AlgebraError, BoundExceeded, GraphVector, RelationSet, degree_bound,
+    dimension, enumerate_trivalent, format_vector, ihx_relations,
+    parse_vector, power, product, reduce, trivalent_part,
 )
 from .genus import (
     BadConstantTerm, CharPowerSeries, ChernData, ChernPolynomial,
     DegreeMismatch, Genus, MissingMonomial, OrderMismatch, SeriesError,
     ahat_series, builtin_genera, evaluate, genus_in_power_sums,
-    genus_polynomial, power_sum_in_chern, sinh_half_over_half, sinh_over_x,
+    genus_polynomial, power_sum_in_chern, sinh_half_over_half,
     sqrt_ahat_series, todd_series,
 )
 from .wheeling import (

@@ -70,7 +70,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--k", type=int, required=True)
 
     sp = sub.add_parser("analyze", help="hyperkähler curvature-norm report")
-    sp.add_argument("--k", type=int, required=True, choices=(1, 2, 3))
+    sp.add_argument("--k", type=int, required=True, choices=sorted(CHERN_FLAGS))
     sp.add_argument("--vol", type=str, required=True,
                     help="volume, e.g. 1, 7/3, or 2*pi^2")
     sp.add_argument("--normRsq", type=str, default=None,

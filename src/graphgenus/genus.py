@@ -9,7 +9,7 @@ exponential.  The core takes s_j in whichever basis is wanted (the s_j
 themselves, or Chern classes through Newton's identities), with the odd
 classes set to zero.  The exact core in ``scalars`` supplies the rest:
 ChernPolynomial takes its module arithmetic from ``Combination``, and
-one recurrence, w E_w = sum_j j L_j E_{w-j} (``graded_exp`` and, solved
+one recurrence, w E_w = sum_j j L_j E_{w-j} (``extend_exp`` and, solved
 for L, ``graded_log``), builds every exponential and log weight by
 weight: of a series (and so its inverse and square root), of a graded
 polynomial, and of the total class in Newton's identities.  All
@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .graph_algebra import DegreeMismatch
-from .scalars import Combination, Record, accumulate, extend_exp, graded_exp, graded_log
+from .scalars import Combination, Record, accumulate, extend_exp, graded_log
 
 Monomial = tuple[int, ...]
 
@@ -51,7 +51,7 @@ class MissingMonomial(ValueError):
     pass
 
 
-class CharPowerSeries:
+class CharPowerSeries(Record):
     """One-variable series truncated after x^order, exact coefficients."""
 
     __slots__ = ("coeffs", "order")
@@ -61,8 +61,8 @@ class CharPowerSeries:
         if len(cs) > order + 1:
             raise SeriesError(f"{len(cs)} coefficients exceed order {order}")
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
-        self.order = order
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "order", order)
 
     def __getitem__(self, j: int) -> Fraction:
         if j < 0:
@@ -70,16 +70,6 @@ class CharPowerSeries:
         if j > self.order:
             raise SeriesError(f"coefficient {j} beyond truncation order {self.order}")
         return self.coeffs[j]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CharPowerSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
-    def __repr__(self):
-        return f"CharPowerSeries({list(self.coeffs)}, order={self.order})"
 
     def _match(self, other: "CharPowerSeries"):
         if self.order != other.order:
@@ -126,34 +116,18 @@ class CharPowerSeries:
         if self.coeffs[0]:
             raise BadConstantTerm("exp needs constant term 0")
         return CharPowerSeries(
-            graded_exp(self.coeffs, Fraction(0), Fraction(1)), self.order)
+            extend_exp(self.coeffs, [Fraction(1)], Fraction(0)), self.order)
 
     def sqrt(self) -> "CharPowerSeries":
         if self.coeffs[0] != 1:
             raise BadConstantTerm("sqrt needs constant term 1")
         return (self.log() * Fraction(1, 2)).exp()
 
-    def compose_scale(self, factor) -> "CharPowerSeries":
-        """Substitute x -> factor*x."""
-        q = Fraction(factor)
-        return CharPowerSeries(
-            [c * q ** j for j, c in enumerate(self.coeffs)], self.order)
-
-
-def sinh_over_x(order: int) -> CharPowerSeries:
-    """sinh(x)/x = sum x^{2m}/(2m+1)!."""
-    coeffs = [Fraction(0)] * (order + 1)
-    fact = 1  # (2m+1)!
-    for m in range(0, order // 2 + 1):
-        if m:
-            fact *= (2 * m) * (2 * m + 1)
-        coeffs[2 * m] = Fraction(1, fact)
-    return CharPowerSeries(coeffs, order)
-
 
 def sinh_half_over_half(order: int) -> CharPowerSeries:
-    """sinh(x/2)/(x/2) = 1 + x^2/24 + x^4/1920 + ..."""
-    return sinh_over_x(order).compose_scale(Fraction(1, 2))
+    """sinh(x/2)/(x/2) = sum x^{2m}/(4^m (2m+1)!) = 1 + x^2/24 + x^4/1920 + ..."""
+    return CharPowerSeries([0 if j % 2 else Fraction(1, 2 ** j * math.factorial(j + 1))
+                            for j in range(order + 1)], order)
 
 
 def ahat_series(order: int) -> CharPowerSeries:
@@ -226,13 +200,13 @@ class ChernPolynomial(Combination):
             m: c for m, c in self.terms.items() if self.weight(m) == w})
 
     def exp_truncated(self, max_weight: int) -> "ChernPolynomial":
-        """exp(self) through weight max_weight, by graded_exp on the
+        """exp(self) through weight max_weight, by extend_exp on the
         homogeneous parts."""
         if () in self.terms:
             raise BadConstantTerm("exp needs zero constant term")
         parts = [self.homogeneous(j) for j in range(max_weight + 1)]
-        graded = graded_exp(parts, ChernPolynomial.zero(self.symbol),
-                            ChernPolynomial.one(self.symbol))
+        graded = extend_exp(parts, [ChernPolynomial.one(self.symbol)],
+                            ChernPolynomial.zero(self.symbol))
         return sum(graded[1:], graded[0])
 
     def coefficient(self, mono: Monomial) -> Fraction:
@@ -414,10 +388,6 @@ class ChernData(Record):
                 raise MissingMonomial(f"missing value for monomial {mono}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "values", MappingProxyType(vals))
-
-    def euler(self) -> Fraction:
-        """Value of the top class c_{2k}."""
-        return self.values[(2 * self.k,)]
 
     def __hash__(self):
         return hash((self.k, frozenset(self.values.items())))

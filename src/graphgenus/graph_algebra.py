@@ -19,7 +19,8 @@ import os
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable
 
 from .graph_core import (
     Graph, GraphParseError, OrientedGraph, _find, _parse_error, _tokenize,
@@ -68,9 +69,6 @@ class GraphVector(Combination):
 
     __slots__ = ()
 
-    def __init__(self, terms: Optional[dict[Graph, Fraction]] = None):
-        super().__init__(terms)
-
     @staticmethod
     def zero() -> "GraphVector":
         return GraphVector()
@@ -108,14 +106,6 @@ class GraphVector(Combination):
             return "GraphVector(0)"
         bits = [f"{c}*[{g.valences}|{g.edges}]" for g, c in self.items()]
         return "GraphVector(" + " + ".join(bits) + ")"
-
-
-def add(v1: GraphVector, v2: GraphVector) -> GraphVector:
-    return v1 + v2
-
-
-def scale(q, v: GraphVector) -> GraphVector:
-    return v * Fraction(q)
 
 
 def product(v1: GraphVector, v2: GraphVector) -> GraphVector:
@@ -283,13 +273,14 @@ def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
 
 
 class RelationSet:
-    """IHX relations of one degree plus a row-reduced basis of their span."""
+    """IHX relations of one degree plus a row-reduced basis of their span;
+    cached and shared, so relations and columns are tuples, col_index read-only."""
 
-    def __init__(self, k: int, relations: Iterable[GraphVector], columns: list[Graph]):
+    def __init__(self, k: int, relations: Iterable[GraphVector], columns: Iterable[Graph]):
         self.k = k
-        self.relations = list(relations)
-        self.columns = list(columns)
-        self.col_index = {g: i for i, g in enumerate(self.columns)}
+        self.relations = tuple(relations)
+        self.columns = tuple(columns)
+        self.col_index = MappingProxyType({g: i for i, g in enumerate(self.columns)})
         self.echelon = Echelon()
         for rel in self.relations:
             self.echelon.add({self.col_index[g]: c for g, c in rel.terms.items()})

@@ -223,8 +223,9 @@ class OrientedGraph(Record):
     sign_state 0 marks a graph with an orientation-reversing
     automorphism: its class is zero in the homology.  ``automorphisms``
     holds vertex permutations of ``graph`` (tau[v] is the image of v)
-    that the canonical search met on its way; they need not generate
-    the whole group, and they take no part in equality, hashing or repr.
+    that the canonical search met on its way; they generate the whole
+    automorphism group (see ``canonical_form``), and they take no part
+    in equality, hashing or repr.
     """
 
     __slots__ = ("graph", "sign_state", "automorphisms")

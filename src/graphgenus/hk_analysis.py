@@ -66,7 +66,8 @@ def ahat_number(d: ManifoldData) -> Fraction:
 
 
 def euler_number(d: ManifoldData) -> Fraction:
-    return d.chern.euler()
+    """Value of the top class c_{2k}."""
+    return d.chern.values[(2 * d.k,)]
 
 
 def curvature_norm(d: ManifoldData, sqrt_ahat: Fraction | None = None) -> PiScalar | Root:

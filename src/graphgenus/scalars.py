@@ -4,10 +4,10 @@ one copy of its sparse linear algebra.
 The core has four parts, each used everywhere it applies: ``accumulate``
 is the only zero-dropping add; ``Combination`` is the module arithmetic
 of graph vectors and Chern polynomials; ``Echelon`` is the only
-elimination (IHX relations and inverse forms); and ``graded_exp`` /
-``graded_log`` run the one recurrence w E_w = sum_j j L_j E_{w-j} of an
-exponential, for power series and Chern polynomials alike.  This module
-imports nothing from the package.
+elimination (of the IHX relations); and ``extend_exp`` / ``graded_log``
+run the one recurrence w E_w = sum_j j L_j E_{w-j} of an exponential,
+for power series and Chern polynomials alike.  This module imports
+nothing from the package.
 
 Curvature norms and wheel weights are rational multiples of powers of
 pi^2, so they are kept symbolic: a ``PiScalar`` is ``coef * (pi^2)**pi2``
@@ -96,7 +96,7 @@ def to_float(value: Fraction | float,
 
 class Record:
     """Base of the immutable slotted classes: ``__init__`` sets each field
-    once, and equality, repr and pickling follow ``__slots__``."""
+    once, and equality, hashing, repr and pickling follow ``__slots__``."""
 
     __slots__ = ()
 
@@ -112,6 +112,9 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -195,8 +198,9 @@ class PiScalar(Record):
         return self.coef == other.coef and self.pi2 == other.pi2
 
     def __hash__(self):
-        if self.coef == 0:
-            return hash(0)
+        # a zero or grade-0 scalar equals its coefficient, so hashes as it
+        if not self.coef or not self.pi2:
+            return hash(self.coef)
         return hash((self.coef, self.pi2))
 
     def root(self, k: int) -> "PiScalar | Root":
@@ -255,9 +259,6 @@ class Root(Record):
     def __pow__(self, n: int) -> "PiScalar | Root":
         return (self.power ** n).root(self.k)
 
-    def __hash__(self):
-        return hash((self.power, self.k))
-
     def __float__(self) -> float:
         # (n/d pi^(2p))^(1/k) = (n/(d 2^(k q)))^(1/k) 2^(q + t), t = 2p/k log2(pi):
         # the root is taken near 1, and 2^q enters exactly, at any size
@@ -273,17 +274,24 @@ class Root(Record):
 
 
 def parse_pi_scalar(text: str) -> PiScalar:
-    """Parse 'p/q', 'p/q*pi^2', 'p/q*pi^4', ... (inverse of render)."""
-    text = text.strip()
-    if "*" in text:
-        head, tail = text.split("*", 1)
-        if not tail.startswith("pi^"):
-            raise ValueError(f"bad scalar literal {text!r}")
+    """Parse 'p/q', 'p/q*pi^2', 'p/q*pi^-4', ... (inverse of render); any
+    other text is a ValueError with a one-line message that names it."""
+    head, star, tail = text.strip().partition("*")
+    if not head:
+        raise ValueError(f"no coefficient in the scalar {reprlib.repr(text)}")
+    if not star:
+        return PiScalar(parse_rational(head), 0)
+    if not (tail.startswith("pi^") and tail.isascii() and tail[3:].removeprefix("-").isdigit()):
+        raise ValueError(f"bad factor {reprlib.repr(tail)} in the scalar "
+                         f"{reprlib.repr(text)}: expected pi^<even power>")
+    try:
         power = int(tail[3:])
-        if power % 2 != 0:
-            raise ValueError("only even powers of pi are representable")
-        return PiScalar(parse_rational(head), power // 2)
-    return PiScalar(parse_rational(text), 0)
+    except ValueError:  # only the digit bound: the characters are digits
+        raise ValueError(f"the power of pi in {reprlib.repr(text)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    if power % 2 != 0:
+        raise ValueError(f"the power of pi in {reprlib.repr(text)} is odd")
+    return PiScalar(parse_rational(head), power // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +416,10 @@ def _graded_sum(parts: Sequence, graded: Sequence, w: int, zero):
     return acc
 
 
-def graded_exp(parts: Sequence, zero, one) -> list:
-    """[E_0, ..., E_n] for E = exp(L), L = parts[1] + ... + parts[n] graded
-    by weight: the grading is a derivation, so w E_w = sum_j j L_j E_{w-j}."""
-    return extend_exp(parts, [one], zero)
-
-
 def extend_exp(parts: Sequence, graded: list, zero) -> list:
-    """Extend the weights [E_0, ..., E_m] of exp(L) in place through
-    weight n = len(parts) - 1; E_w needs only L_1, ..., L_w."""
+    """Extend the weights [E_0, ..., E_m] of exp(L), L = parts[1] + ... graded
+    by weight, in place through weight n = len(parts) - 1: the grading is a
+    derivation, so w E_w = sum_j j L_j E_{w-j}; graded = [1] gives all of exp(L)."""
     for w in range(len(graded), len(parts)):
         graded.append(_graded_sum(parts, graded, w, zero) * Fraction(1, w))
     return graded
@@ -424,7 +427,7 @@ def extend_exp(parts: Sequence, graded: list, zero) -> list:
 
 def graded_log(graded: Sequence, zero) -> list:
     """[0, L_1, ..., L_n] for L = log(E), E_0 = 1: the recurrence of
-    graded_exp solved for L_w."""
+    extend_exp solved for L_w."""
     parts = [zero]
     for w in range(1, len(graded)):
         parts.append(graded[w] - _graded_sum(parts, graded, w, zero) * Fraction(1, w))

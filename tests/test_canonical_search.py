@@ -244,3 +244,36 @@ def test_enumeration_reads_sign_states_without_canonicalizing_again():
     assert canonical_form.cache_info().misses == 0
     for og in ogs:
         assert og.sign_state == (1 if canonical_form(og.graph).sign_state else 0)
+
+
+def _generated_order(generators, n: int) -> int:
+    """Order of the permutation group on range(n) the generators span."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        p = frontier.pop()
+        for tau in generators:
+            q = tuple(tau[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+GROUP_CASES = ([(f"class{i}", g) for i, g in enumerate(small_classes())]
+               + [(f"w{n}", wheel(n)) for n in (2, 4, 6, 8)]
+               + [(f"theta^{m}", product_of([theta()] * m)) for m in range(1, 6)])
+
+
+@pytest.mark.parametrize("g", [g for _, g in GROUP_CASES], ids=[i for i, _ in GROUP_CASES])
+def test_recorded_automorphisms_generate_the_group(g):
+    # classes of degree <= 4, the wheels w_2..w_8 and theta^1..theta^5;
+    # the referee counts the vertex maps of the multigraph onto itself
+    nx = pytest.importorskip("networkx")
+    og = canonical_form.__wrapped__(g)
+    m = nx.MultiGraph()
+    m.add_nodes_from(range(og.graph.n))
+    m.add_edges_from(og.graph.edges)
+    matcher = nx.algorithms.isomorphism.MultiGraphMatcher(m, m)
+    assert _generated_order(og.automorphisms, og.graph.n) == \
+        sum(1 for _ in matcher.isomorphisms_iter())

@@ -134,6 +134,24 @@ def test_bad_volume_string():
     assert err.startswith("ValueError:")
 
 
+@pytest.mark.parametrize("flag, literal, message", [
+    ("--vol", "*pi^2", "no coefficient in the scalar '*pi^2'"),
+    ("--vol", "", "no coefficient in the scalar ''"),
+    ("--vol", "1*pi^2*pi^2",
+     "bad factor 'pi^2*pi^2' in the scalar '1*pi^2*pi^2': expected pi^<even power>"),
+    ("--normRsq", "2*pi", "bad factor 'pi' in the scalar '2*pi': expected pi^<even power>"),
+    ("--normRsq", "2*pi^²", "bad factor 'pi^²' in the scalar '2*pi^²': expected pi^<even power>"),
+    ("--normRsq", "2*pi^3",
+     "the power of pi in '2*pi^3' is odd"),
+    ("--vol", "1*pi^" + "2" * 5000,
+     "the power of pi in '1*pi^2222222...2222222222222' has more than 4300 digits"),
+], ids=["no-coefficient", "empty", "two-factors", "no-power", "superscript-power",
+         "odd-power", "5000-digit-power"])
+def test_malformed_scalars_have_their_own_message(flag, literal, message):
+    code, out, err = run_cli(K1_REPORT + [flag, literal])  # the last --vol wins
+    assert (code, out, err) == (2, "", f"ValueError: {message}\n")
+
+
 def test_nonpositive_volume():
     code, _, err = run_cli(["analyze", "--k", "1", "--vol", "-2",
                             "--c2", "24"])
@@ -244,6 +262,14 @@ def test_every_exported_exception_is_a_value_error():
 
 def test_one_degree_mismatch_class():
     assert genus.DegreeMismatch is graph_algebra.DegreeMismatch
+
+
+def test_no_two_public_names_share_an_object():
+    names: dict[int, list[str]] = {}
+    for name, obj in vars(graphgenus).items():
+        if not name.startswith("_"):
+            names.setdefault(id(obj), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
 
 
 @pytest.mark.parametrize("argv", [["normalize"], ["reduce", "--k", "1"]], ids=" ".join)

@@ -16,8 +16,10 @@ from graphgenus.genus import (
     DegreeMismatch, MissingMonomial, OrderMismatch, SeriesError, ahat_series,
     builtin_genera, even_monomials, evaluate, genus_in_power_sums,
     genus_polynomial, log_coefficients, power_sum_in_chern,
-    sinh_half_over_half, sinh_over_x, sqrt_ahat_series, todd_series,
+    sinh_half_over_half, sqrt_ahat_series, todd_series,
 )
+from graphgenus.hk_analysis import ManifoldData, euler_number
+from graphgenus.scalars import PiScalar
 
 
 def poly(symbol: str, table) -> ChernPolynomial:
@@ -34,17 +36,11 @@ def random_series(rng, order: int, constant=1) -> CharPowerSeries:
 # power series arithmetic
 
 
-def test_sinh_over_x_coefficients():
-    s = sinh_over_x(6)
-    assert [s[j] for j in range(7)] == \
-        [1, 0, F(1, 6), 0, F(1, 120), 0, F(1, 5040)]
-
-
-def test_half_argument_scaling():
+def test_sinh_half_over_half_coefficients():
+    # 1/(4^m (2m+1)!): the x^2m coefficient of sinh(x)/x at x/2
     s = sinh_half_over_half(6)
-    full = sinh_over_x(6)
-    assert s == full.compose_scale(F(1, 2))
-    assert s[2] == F(1, 24) and s[4] == F(1, 1920)
+    assert [s[j] for j in range(7)] == \
+        [1, 0, F(1, 24), 0, F(1, 1920), 0, F(1, 322560)]
 
 
 def test_ahat_series_frozen():
@@ -367,9 +363,10 @@ def test_even_monomials_sorted():
 
 
 def test_chern_data_constructors_and_euler():
-    assert ChernData(1, {(2,): F(24)}).euler() == 24
-    assert ChernData(2, {(2, 2): F(100), (4,): F(40)}).euler() == 40
-    assert ChernData(3, {(2, 2, 2): F(8), (2, 4): F(4), (6,): F(2)}).euler() == 2
+    for chern, euler in ((ChernData(1, {(2,): F(24)}), 24),
+                         (ChernData(2, {(2, 2): F(100), (4,): F(40)}), 40),
+                         (ChernData(3, {(2, 2, 2): F(8), (2, 4): F(4), (6,): F(2)}), 2)):
+        assert euler_number(ManifoldData(chern.k, chern, PiScalar.of(1))) == euler
 
 
 def test_chern_data_requires_all_monomials():

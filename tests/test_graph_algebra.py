@@ -401,7 +401,7 @@ def test_one_edge_and_two_pairs_per_orbit_of_theta():
 
 def test_degree_one_has_no_relations():
     rs = ihx_relations(1)
-    assert rs.relations == [] or rs.rank == 0
+    assert rs.relations == () and rs.rank == 0
     assert dimension(1) == 1
 
 
@@ -418,6 +418,18 @@ def test_degree_two_relation_is_frozen():
 
 def test_dimension_table():
     assert [dimension(k) for k in range(4)] == [1, 1, 2, 3]
+
+
+def test_cached_relation_set_is_read_only():
+    rs = ihx_relations(2)
+    assert ihx_relations(2) is rs
+    with pytest.raises(AttributeError):
+        rs.relations.append(theta_vector())
+    with pytest.raises(AttributeError):
+        rs.columns.append(theta())
+    with pytest.raises(TypeError):
+        rs.col_index[theta()] = len(rs.columns)
+    assert dimension(2) == 2
 
 
 def test_relations_reduce_to_zero():

@@ -1,5 +1,5 @@
-"""Property tests: GraphVector linearity, canonical-form invariance and
-the CLI's error contract."""
+"""Property tests: GraphVector linearity, canonical-form invariance,
+record hashing and the CLI's error contract."""
 from __future__ import annotations
 
 import io
@@ -14,8 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from graphgenus.cli import CHERN_FLAGS, main as cli_main
-from graphgenus.graph_algebra import GraphVector, add, scale
+from graphgenus.genus import CharPowerSeries, ChernData
+from graphgenus.graph_algebra import GraphVector
 from graphgenus.graph_core import canonical_form
+from graphgenus.hk_analysis import ManifoldData
+from graphgenus.scalars import PiScalar
 from conftest import random_unitrivalent, represent
 
 # a seeded Random keeps hypothesis' own draws small: it shrinks the seed
@@ -47,13 +50,13 @@ def test_canonical_form_invariant_under_representation(rng):
 @settings(deadline=None)
 @given(vectors(), vectors(), fractions, fractions)
 def test_vector_operations_are_linear(u, v, a, b):
-    assert add(u, v) == add(v, u)
-    assert scale(a, add(u, v)) == add(scale(a, u), scale(a, v))
-    assert scale(a + b, u) == add(scale(a, u), scale(b, u))
-    assert scale(a, scale(b, u)) == scale(a * b, u)
-    assert not add(u, scale(-1, u))
-    w = add(scale(a, u), scale(b, v))
-    for g, _ in add(u, v).items():
+    assert u + v == v + u
+    assert (u + v) * a == u * a + v * a
+    assert u * (a + b) == u * a + u * b
+    assert (u * b) * a == u * (a * b)
+    assert not u + u * -1
+    w = u * a + v * b
+    for g, _ in (u + v).items():
         assert w.coefficient(g) == a * u.coefficient(g) + b * v.coefficient(g)
 
 
@@ -65,6 +68,26 @@ def test_insertion_is_linear_in_the_presentation_sign(rng, c):
     assert GraphVector.from_graph(h, c) == GraphVector.from_graph(g, c * pred)
     assert GraphVector.from_graph(h, c).coefficient(g) == \
         (c * pred if canonical_form(g).sign_state else F(0))
+
+
+@settings(deadline=None)
+@given(fractions, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+def test_equal_records_and_numbers_hash_equal(coef, pi2, grade, k):
+    positive = PiScalar(abs(coef) + 1, pi2)
+    pairs = [
+        (PiScalar(coef, pi2), PiScalar.of(coef, pi2)),
+        (PiScalar(coef), coef),
+        (PiScalar(coef.numerator), coef.numerator),
+        (PiScalar(0, pi2), PiScalar(0, grade)),
+        (PiScalar(0, pi2), 0),
+        (positive.root(k), (positive ** 2).root(2 * k)),
+        (CharPowerSeries([coef, 1], 2), CharPowerSeries([coef, F(1), 0], 2)),
+        (ManifoldData(1, ChernData(1, {(2,): 24}), positive, PiScalar(coef ** 2)),
+         ManifoldData(1, ChernData(1, {(2,): F(24)}), PiScalar.of(positive.coef, pi2),
+                      PiScalar.of(coef ** 2))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------------------
