@@ -36,7 +36,14 @@ def random_series(rng, order: int, constant=1) -> CharPowerSeries:
 # power series arithmetic
 
 
-def test_sinh_half_over_half_coefficients():
+def test_sinh_over_x_coefficients():
+    # undoing the half argument gives sinh(x)/x = sum x^2m / (2m+1)!
+    s = sinh_half_over_half(6)
+    assert [s[j] * 2 ** j for j in range(7)] == \
+        [1, 0, F(1, 6), 0, F(1, 120), 0, F(1, 5040)]
+
+
+def test_half_argument_scaling():
     # 1/(4^m (2m+1)!): the x^2m coefficient of sinh(x)/x at x/2
     s = sinh_half_over_half(6)
     assert [s[j] for j in range(7)] == \
