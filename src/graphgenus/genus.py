@@ -253,7 +253,7 @@ def power_sum_in_chern(j: int) -> ChernPolynomial:
     zero = ChernPolynomial.zero("c")
     total = [ChernPolynomial.one("c")] + [
         zero if i % 2 else ChernPolynomial.variable("c", i) for i in range(1, j + 1)]
-    return graded_log(total, zero)[j] * ((-1) ** (j - 1) * j)
+    return (graded_log(total, zero)[j] * ((-1) ** (j - 1) * j)).frozen()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ class Genus(NamedTuple):
     def polynomial(self, k: int) -> ChernPolynomial:
         if k < 0:
             raise DegreeMismatch(f"degree {k} is negative")
-        return _exponential(self).weight(2 * k)
+        return _exponential(self).weight(2 * k).frozen()
 
 
 @cache

@@ -23,11 +23,11 @@ from types import MappingProxyType
 from typing import Iterable
 
 from .graph_core import (
-    Graph, GraphParseError, OrientedGraph, _find, _parse_error, _tokenize,
-    canonical_form, concat, format_graph, from_cyclic, graph_sort_key,
-    parse_graph_block, theta, to_cyclic,
+    Graph, GraphParseError, OrientedGraph, _find, _incidence, _parse_error,
+    _tokenize, canonical_form, concat, format_graph, from_cyclic,
+    graph_sort_key, parse_graph_block, theta,
 )
-from .scalars import Combination, Echelon, accumulate, parse_rational
+from .scalars import Combination, Echelon, Record, accumulate, parse_rational
 
 
 class AlgebraError(ValueError):
@@ -212,42 +212,29 @@ def _orbit_firsts(keys: list[tuple], automorphisms) -> list[int]:
 # IHX relations
 
 
-def _ihx_terms_for_edge(g: Graph, t: int) -> list[GraphVector]:
-    """Three expansion terms from contracting edge t of trivalent g."""
-    cyclic, _ = to_cyclic(g)
+def _ihx_relation(g: Graph, t: int) -> GraphVector:
+    """The sum of the three expansions of the four-valent corner made by
+    contracting edge t of trivalent g; one with a self-loop is zero."""
+    at = _incidence(g)
     x, y = g.edges[t]
-    cx = list(cyclic[x])
-    cy = list(cyclic[y])
-    while cx[-1] != (t, 0):
-        cx.append(cx.pop(0))
-    while cy[-1] != (t, 1):
-        cy.append(cy.pop(0))
-    f1, f2 = cx[0], cx[1]
-    f3, f4 = cy[0], cy[1]
+    i, j = at[x].index((t, 0)), at[y].index((t, 1))
+    # the corner's flags: at x, then at y, each in cyclic order after t
+    f1, f2, f3, f4 = at[x][i - 2], at[x][i - 1], at[y][j - 2], at[y][j - 1]
+    out = GraphVector()
     # even reorderings of (f1 f2 f3 f4); each pair becomes the flags at
     # one end of the re-inserted edge
-    splittings = [((f1, f2), (f3, f4)),
-                  ((f1, f3), (f4, f2)),
-                  ((f1, f4), (f2, f3))]
-    terms = []
-    for (a1, a2), (b1, b2) in splittings:
+    for (a1, a2), (b1, b2) in (((f1, f2), (f3, f4)), ((f1, f3), (f4, f2)),
+                               ((f1, f4), (f2, f3))):
         ends = [list(e) for e in g.edges]
-        for e, end in (a1, a2):
-            ends[e][end] = x
-        for e, end in (b1, b2):
-            ends[e][end] = y
-        ends[t] = [x, y]
+        for (e, end), v in ((a1, x), (a2, x), (b1, y), (b2, y)):
+            ends[e][end] = v
         if any(p == q for p, q in ends):
-            terms.append(GraphVector.zero())  # expansion makes a self-loop
             continue
-        new_edges = tuple((p, q) for p, q in ends)
-        g2 = Graph(g.valences, new_edges)
-        new_cyclic = dict(cyclic)
-        new_cyclic[x] = (a1, a2, (t, 0))
-        new_cyclic[y] = (b1, b2, (t, 1))
-        s = from_cyclic(g2, new_cyclic)
-        terms.append(GraphVector.from_graph(g2, s))
-    return terms
+        g2 = Graph(g.valences, tuple(map(tuple, ends)))
+        # every other vertex keeps its flags in their incidence order
+        s = from_cyclic(g2, {x: (a1, a2, (t, 0)), y: (b1, b2, (t, 1))})
+        out.add_presentation(g2, Fraction(s))
+    return out
 
 
 def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
@@ -261,7 +248,7 @@ def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
     for og in classes:
         g = og.graph
         for t in _orbit_firsts([(e,) for e in g.edges], og.automorphisms):
-            total = sum(_ihx_terms_for_edge(g, t), GraphVector.zero())
+            total = _ihx_relation(g, t)
             if not total:
                 continue
             normal = total * (1 / total.items()[0][1])
@@ -273,21 +260,26 @@ def _raw_ihx_relations(classes: list[OrientedGraph]) -> list[GraphVector]:
 
 
 class RelationSet:
-    """IHX relations of one degree plus a row-reduced basis of their span;
-    cached and shared, so relations and columns are tuples, col_index read-only."""
+    """IHX relations of one degree plus a row-reduced basis of their span.
+    Cached and shared, so read-only: frozen relations and columns in
+    tuples, col_index a read-only mapping, and the echelon kept inside."""
+
+    __slots__ = ("k", "relations", "columns", "col_index", "_echelon")
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __init__(self, k: int, relations: Iterable[GraphVector], columns: Iterable[Graph]):
-        self.k = k
-        self.relations = tuple(relations)
-        self.columns = tuple(columns)
-        self.col_index = MappingProxyType({g: i for i, g in enumerate(self.columns)})
-        self.echelon = Echelon()
-        for rel in self.relations:
-            self.echelon.add({self.col_index[g]: c for g, c in rel.terms.items()})
+        relations = tuple(rel.frozen() for rel in relations)
+        columns = tuple(columns)
+        col_index = MappingProxyType({g: i for i, g in enumerate(columns)})
+        echelon = Echelon()
+        for rel in relations:
+            echelon.add({col_index[g]: c for g, c in rel.terms.items()})
+        for name, value in zip(self.__slots__, (k, relations, columns, col_index, echelon)):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
-        return len(self.echelon.rows)
+        return len(self._echelon.rows)
 
     def reduce_vector(self, v: GraphVector) -> GraphVector:
         row: dict[int, Fraction] = {}
@@ -297,7 +289,7 @@ class RelationSet:
                 raise DegreeMismatch(
                     "vector contains a graph outside the degree's trivalent basis")
             row[j] = c
-        return GraphVector({self.columns[j]: c for j, c in self.echelon.reduce(row).items()})
+        return GraphVector({self.columns[j]: c for j, c in self._echelon.reduce(row).items()})
 
 
 def ihx_relations(k: int) -> RelationSet:

@@ -203,8 +203,9 @@ def from_cyclic(g: Graph, cyclic: dict[int, tuple[Flag, ...]]) -> int:
     """Sign s with: orientation(cyclic data) = s * orientation(g as stored).
 
     ``g`` supplies the structure (and stored directions); ``cyclic``
-    supplies a flag triple for every trivalent vertex.  Any rotation of
-    a triple describes the same orientation.
+    supplies flag triples, and a vertex it omits keeps its flags in
+    incidence order.  Any rotation of a triple describes the same
+    orientation.
     """
     at = _incidence(g)
     vertex_seq = [f for v in range(g.n) for f in cyclic.get(v, at[v])]
@@ -610,7 +611,7 @@ def wheel(n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# welding (leg joining) via cyclic data
+# welding (leg joining) on the incidence table
 
 def _restrict(g: Graph, keep: list[int]) -> tuple[Graph, dict[int, int]]:
     """The presentation on the vertices ``keep``, relabelled in that
@@ -635,47 +636,32 @@ def weld_all(g: Graph, pairs: list[tuple[int, int]]) -> Optional[tuple[Graph, in
     presentation, or None when a pair closes into a vertex-free circle
     or produces a self-loop (those terms are zero).
     """
-    cyclic, s0 = to_cyclic(g)
-    ends = [list(e) for e in g.edges]
-    vertex_alive = [True] * g.n
+    # the flags at every vertex, edited in place: a welded leg's row
+    # empties, and the merged edge's flag replaces the dropped one's
     at = _incidence(g)
-    leg_flag: dict[int, Flag] = {}
-    for v in g.legs():
-        (leg_flag[v],) = at[v]
-
-    cyc_work: dict[int, list[Flag]] = {v: list(t) for v, t in cyclic.items()}
-
+    s0 = _expansion_sign([f for flags in at for f in flags])
+    ends = [list(e) for e in g.edges]
     for u, w in pairs:
-        if u == w or not vertex_alive[u] or not vertex_alive[w]:
+        if u == w or not at[u] or not at[w]:
             raise BadIndex(f"bad weld pair ({u}, {w})")
-        if u not in leg_flag or w not in leg_flag:
+        if g.valences[u] != 1 or g.valences[w] != 1:
             raise BadIndex(f"weld pair ({u}, {w}) must name univalent vertices")
-        e, ue = leg_flag.pop(u)
-        f, wf = leg_flag.pop(w)
+        ((e, ue),), ((f, wf),) = at[u], at[w]
         if e == f:
             return None  # the pair closes a circle with no vertices
-        a = ends[e][1 - ue]
         b = ends[f][1 - wf]
-        if a == b:
+        if ends[e][1 - ue] == b:
             return None  # would be a self-loop
-        # merge: edge e survives with endpoint slot ue re-pointed at b;
-        # edge f still ends at the dead leg w, so _restrict drops it
+        # edge e survives with its end at u re-pointed at b; edge f still
+        # ends at the dead leg w, so _restrict drops it
         ends[e][ue] = b
-        vertex_alive[u] = False
-        vertex_alive[w] = False
-        old_flag = (f, 1 - wf)
-        new_flag = (e, ue)
-        if b in cyc_work:
-            spot = cyc_work[b].index(old_flag)
-            cyc_work[b][spot] = new_flag
-        else:
-            leg_flag[b] = new_flag
+        at[u] = at[w] = []
+        at[b][at[b].index((f, 1 - wf))] = (e, ue)
 
-    keep = [v for v in range(g.n) if vertex_alive[v]]
+    keep = [v for v in range(g.n) if at[v]]
     g2, emap = _restrict(Graph(g.valences, tuple(map(tuple, ends))), keep)
-    cyclic2 = {i: tuple((emap[e], end) for e, end in cyc_work[v])
-               for i, v in enumerate(keep) if v in cyc_work}
-    s1 = from_cyclic(g2, cyclic2)
+    s1 = from_cyclic(g2, {i: tuple((emap[e], end) for e, end in at[v])
+                          for i, v in enumerate(keep) if g.valences[v] == 3})
     return g2, s0 * s1
 
 

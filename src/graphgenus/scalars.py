@@ -23,6 +23,7 @@ from fractions import Fraction
 import math
 import reprlib
 import sys
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 
@@ -62,6 +63,9 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"bad rational {reprlib.repr(text)}: expected an integer, "
+                         "p/q or a decimal") from None
 
 
 def _check_digits(text: str) -> None:
@@ -332,6 +336,10 @@ class Combination:
         out = object.__new__(type(self))
         out.symbol, out.terms = self.symbol, terms
         return out
+
+    def frozen(self):
+        """A copy with read-only terms, for a value that a cache shares."""
+        return self._new(MappingProxyType(dict(self.terms)))
 
     def _match(self, other: "Combination"):
         if self.symbol != other.symbol:

@@ -101,22 +101,20 @@ def glue_hat(C: GraphVector, G: GraphVector) -> GraphVector:
     """
     out = GraphVector.zero()
     for cg, cc in C.items():
-        c_legs = cg.legs()
+        c_legs, shift = cg.legs(), cg.n
         for gg, gc in G.items():
-            g_legs = gg.legs()
-            if len(c_legs) > len(g_legs):
-                continue
-            base = concat(cg, gg)
-            shift = cg.n
-            scale = cc * gc
-            for target in itertools.permutations(g_legs, len(c_legs)):
-                pairs = [(lc, lg + shift) for lc, lg in zip(c_legs, target)]
-                res = weld_all(base, pairs)
-                if res is None:
-                    continue
-                welded, sign = res
-                out.add_presentation(welded, scale * sign)
+            _add_welds(out, concat(cg, gg), cc * gc, (
+                [(lc, lg + shift) for lc, lg in zip(c_legs, target)]
+                for target in itertools.permutations(gg.legs(), len(c_legs))))
     return out
+
+
+def _add_welds(out: GraphVector, g: Graph, coeff: Fraction, pairings) -> None:
+    """Add coeff times each welding of g along one list of leg pairs to out."""
+    for pairs in pairings:
+        res = weld_all(g, pairs)
+        if res is not None:
+            out.add_presentation(res[0], coeff * res[1])
 
 
 def _matchings(items: list[int]):
@@ -142,12 +140,7 @@ def _pair_presentations(terms: Iterable[tuple[Graph, Fraction]]) -> GraphVector:
         legs = g.legs()
         if len(legs) % 2:
             raise OddLegCount(f"{len(legs)} legs cannot be matched in pairs")
-        for matching in _matchings(legs):
-            res = weld_all(g, matching)
-            if res is None:
-                continue
-            welded, sign = res
-            out.add_presentation(welded, coeff * sign)
+        _add_welds(out, g, coeff, _matchings(legs))
     return out
 
 

@@ -8,12 +8,13 @@ from graphgenus.graph_core import Graph, OrientedGraph, perm_sign
 from graphgenus.cli import main as cli_main
 
 
-def represent(rng, g: Graph) -> tuple[Graph, int]:
-    """Random re-presentation of g with its predicted relative sign.
+def relabel(rng, g: Graph) -> tuple[Graph, int, list[int]]:
+    """Random re-presentation of g, its predicted relative sign, and the
+    vertex relabelling sigma (v goes to sigma[v]).
 
-    Applies a vertex relabeling, per-edge direction flips, and an edge
-    order shuffle.  The sign is the relabeling parity times -1 per flip;
-    the edge order permutes flag pairs as blocks and never contributes.
+    Applies the relabelling, per-edge direction flips, and an edge order
+    shuffle.  The sign is the relabelling parity times -1 per flip; the
+    edge order permutes flag pairs as blocks and never contributes.
     """
     sigma = list(range(g.n))
     rng.shuffle(sigma)
@@ -29,7 +30,12 @@ def represent(rng, g: Graph) -> tuple[Graph, int]:
     valences = [0] * g.n
     for v, k in enumerate(g.valences):
         valences[sigma[v]] = k
-    return Graph(tuple(valences), tuple(edges)), sign
+    return Graph(tuple(valences), tuple(edges)), sign, sigma
+
+
+def represent(rng, g: Graph) -> tuple[Graph, int]:
+    """``relabel`` without sigma: the re-presentation and its sign."""
+    return relabel(rng, g)[:2]
 
 
 def random_unitrivalent(rng, max_vertices: int = 8) -> Graph:

@@ -12,6 +12,7 @@ import pytest
 
 import graphgenus
 from graphgenus import cli, genus, graph_algebra
+from graphgenus.wheeling import WheelingReport
 from conftest import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -92,6 +93,16 @@ def test_analyze_boundary_fails_with_exit_1():
     assert "verdicts.beauville_euler_at_most_324 info-no" in lines
 
 
+def test_failed_wheeling_check_exits_1_with_its_residual(monkeypatch):
+    residual = graph_algebra.theta_vector() * Fraction(-1, 24)
+    monkeypatch.setattr(cli, "wheeling_check",
+                        lambda k: WheelingReport(k, False, False, residual))
+    code, out, err = run_cli(["wheeling", "--k", "2"])
+    assert (code, err) == (1, "")
+    assert out == "FAIL residual=\n" + graph_algebra.format_vector(residual) + "\n"
+    assert out.splitlines()[1].startswith("coeff -1/24 graph {")
+
+
 def test_parse_error_reports_line_number():
     code, out, err = run_cli(["normalize", str(DATA / "selfloop.txt")])
     assert code == 2
@@ -145,10 +156,14 @@ def test_bad_volume_string():
      "the power of pi in '2*pi^3' is odd"),
     ("--vol", "1*pi^" + "2" * 5000,
      "the power of pi in '1*pi^2222222...2222222222222' has more than 4300 digits"),
+    ("--vol", "abc*pi^2", "bad rational 'abc': expected an integer, p/q or a decimal"),
+    ("--c2", "abc", "bad rational 'abc': expected an integer, p/q or a decimal"),
+    ("--c2", "", "bad rational '': expected an integer, p/q or a decimal"),
 ], ids=["no-coefficient", "empty", "two-factors", "no-power", "superscript-power",
-         "odd-power", "5000-digit-power"])
+         "odd-power", "5000-digit-power", "bad-coefficient", "bad-rational",
+         "empty-rational"])
 def test_malformed_scalars_have_their_own_message(flag, literal, message):
-    code, out, err = run_cli(K1_REPORT + [flag, literal])  # the last --vol wins
+    code, out, err = run_cli(K1_REPORT + [flag, literal])  # the last --vol or --c2 wins
     assert (code, out, err) == (2, "", f"ValueError: {message}\n")
 
 

@@ -203,6 +203,17 @@ def test_power_sum_frozen_forms():
     assert power_sum_in_chern(4) == poly("c", {(2, 2): 2, (4,): -4})
 
 
+def test_cached_polynomials_are_read_only():
+    todd = builtin_genera()["todd"]
+    for cached in (todd.polynomial(1), power_sum_in_chern(2)):
+        with pytest.raises(AttributeError):
+            cached.terms.clear()
+        with pytest.raises(TypeError):
+            cached.terms[(2,)] = F(0)
+    assert todd.polynomial(1).render() == "(1/12)c2"
+    assert power_sum_in_chern(2) == poly("c", {(2,): -2})
+
+
 # ---------------------------------------------------------------------------
 # genus polynomials
 

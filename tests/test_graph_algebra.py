@@ -11,7 +11,7 @@ import pytest
 
 from graphgenus.graph_algebra import (
     BoundExceeded, DegreeMismatch, GraphVector, RelationSet, _classes,
-    _ihx_terms_for_edge, _orbit_firsts, _raw_ihx_relations, dimension,
+    _ihx_relation, _orbit_firsts, _raw_ihx_relations, dimension,
     enumerate_trivalent, format_vector, ihx_relations, parse_vector, product,
     power, reduce, theta_vector, trivalent_part,
 )
@@ -357,7 +357,7 @@ def unpruned_ihx_relations(classes) -> list[GraphVector]:
     seen, out = set(), []
     for og in classes:
         for t in range(len(og.graph.edges)):
-            total = sum(_ihx_terms_for_edge(og.graph, t), GraphVector.zero())
+            total = _ihx_relation(og.graph, t)
             if not total:
                 continue
             items = total.items()
@@ -430,6 +430,19 @@ def test_cached_relation_set_is_read_only():
     with pytest.raises(TypeError):
         rs.col_index[theta()] = len(rs.columns)
     assert dimension(2) == 2
+
+
+@pytest.mark.parametrize("write", [
+    lambda: ihx_relations(2).echelon.add({1: 1}),
+    lambda: setattr(ihx_relations(2), "k", 3),
+    lambda: ihx_relations(3).relations[0].terms.clear(),
+], ids=["echelon", "attribute", "relation-terms"])
+def test_cached_relation_set_refuses_writes(write):
+    emitted = [format_vector(rel) for rel in ihx_relations(3).relations]
+    with pytest.raises(AttributeError):
+        write()
+    assert (ihx_relations(2).k, dimension(2), dimension(3)) == (2, 2, 3)
+    assert [format_vector(rel) for rel in ihx_relations(3).relations] == emitted
 
 
 def test_relations_reduce_to_zero():

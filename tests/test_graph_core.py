@@ -18,7 +18,7 @@ from graphgenus.graph_core import (
     empty_graph, format_graph, format_oriented, from_cyclic, is_isomorphic,
     line, make_graph, parse_graph, perm_sign, theta, to_cyclic, weld_all, wheel,
 )
-from conftest import random_unitrivalent, represent
+from conftest import random_unitrivalent, relabel, represent
 
 K4 = Graph((3, 3, 3, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 # double edges 0-2 and 1-3
@@ -335,6 +335,44 @@ def test_weld_closes_wheel_rim():
     assert out is not None
     welded, _ = out
     assert is_isomorphic(welded, theta()) is not None
+
+
+@pytest.mark.parametrize("g, pairs, message", [
+    (concat(line(), line()), [(1, 1)], "bad weld pair (1, 1)"),
+    (concat(line(), line()), [(1, 2), (2, 3)], "bad weld pair (2, 3)"),
+    (concat(line(), line()), [(1, 2), (0, 1)], "bad weld pair (0, 1)"),
+    (CLAW, [(0, 1)], "weld pair (0, 1) must name univalent vertices"),
+    (concat(line(), CLAW), [(1, 3), (2, 4)], "weld pair (2, 4) must name univalent vertices"),
+], ids=["repeated-vertex", "welded-leg", "welded-leg-first", "trivalent", "trivalent-later"])
+def test_weld_rejects_a_bad_pair(g, pairs, message):
+    with pytest.raises(BadIndex) as info:
+        weld_all(g, pairs)
+    assert str(info.value) == message
+
+
+def test_welding_commutes_with_re_presentation():
+    # a relabelling, edge reversals and an edge shuffle, the pairs mapped
+    # along, give the same class and sign as welding first
+    rng = random.Random(34)
+    welded = 0
+    for _ in range(300):
+        g = random_unitrivalent(rng, max_vertices=10)
+        legs = list(g.legs())
+        if len(legs) < 2:
+            continue
+        rng.shuffle(legs)
+        pairs = list(zip(legs[0::2], legs[1::2]))[:rng.randint(1, len(legs) // 2)]
+        h, sign, sigma = relabel(rng, g)
+        before = weld_all(g, pairs)
+        after = weld_all(h, [(sigma[u], sigma[w]) for u, w in pairs])
+        assert (before is None) == (after is None)
+        if before is None:
+            continue
+        c1, c2 = canonical_form(before[0]), canonical_form(after[0])
+        assert c1.graph == c2.graph
+        assert sign * before[1] * c1.sign_state == after[1] * c2.sign_state
+        welded += 1
+    assert welded > 100
 
 
 # ---------------------------------------------------------------------------
