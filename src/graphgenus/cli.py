@@ -91,6 +91,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return p, sub.choices
 
 
+@cache
+def _genus_text(series: str, k: int) -> str:  # rendered once per process
+    return builtin_genera()[SERIES_NAMES[series]].polynomial(k).render()
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -161,8 +166,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "genus":
-        genus = builtin_genera()[SERIES_NAMES[args.series]]
-        out.write(genus.polynomial(args.k).render() + "\n")
+        out.write(_genus_text(args.series, args.k) + "\n")
         return 0
 
     if args.command == "analyze":

@@ -43,6 +43,7 @@ class DegreeMismatch(AlgebraError):
 
 
 DEFAULT_MAX_K = 3
+_ONE = Fraction(1)  # parse_vector's default coefficient
 
 
 def degree_bound() -> int:
@@ -90,7 +91,7 @@ class GraphVector(Combination):
             return
         og = canonical_form(g)
         if og.sign_state:
-            accumulate(self.terms, og.graph, coeff * og.sign_state)
+            accumulate(self.terms, og.graph, coeff if og.sign_state > 0 else -coeff)
 
     def items(self) -> list[tuple[Graph, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: graph_sort_key(kv[0]))
@@ -358,7 +359,7 @@ def parse_vector(text: str) -> GraphVector:
     i = 0
     while i < len(words):
         word = words[i]
-        coeff = Fraction(1)
+        coeff = _ONE
         if word == "coeff" or word == "sign":
             if i + 1 == len(words):
                 raise _parse_error(words, lines, i + 1)  # end of input

@@ -144,13 +144,14 @@ def make_graph(vertex_count: int,
             raise SelfLoop(f"edge ({a}, {b}) is a self-loop", edge=e)
         counts[a] += 1
         counts[b] += 1
-    for v, k in enumerate(valences):
-        if k not in (1, 3):
-            raise ValenceMismatch(f"vertex {v} has valence {k}, expected 1 or 3",
-                                  vertex=v)
-        if counts[v] != k:
-            raise ValenceMismatch(
-                f"vertex {v} has valence {k} but {counts[v]} incidences", vertex=v)
+    if tuple(counts) != valences or not {1, 3}.issuperset(valences):
+        for v, k in enumerate(valences):  # name the first faulty vertex
+            if k not in (1, 3):
+                raise ValenceMismatch(f"vertex {v} has valence {k}, expected 1 or 3",
+                                      vertex=v)
+            if counts[v] != k:
+                raise ValenceMismatch(
+                    f"vertex {v} has valence {k} but {counts[v]} incidences", vertex=v)
     return Graph(valences, edges)
 
 
@@ -719,28 +720,29 @@ def parse_graph_block(words: list[str], lines: list[int], i: int) -> tuple[Graph
     vertex_count: int | None = None
     declared: dict[int, tuple[int, int]] = {}  # vertex -> (valence, line)
     edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
+    edge_at: list[int] = []  # the word index of each edge statement
     while True:  # one statement per turn
         if i >= n:
             raise GraphParseError("unterminated graph block", lines[-1])
         word = words[i]
-        if word == "}":
-            i += 1
-            break
-        lineno = lines[i]
-        if word not in ("edge", "valence", "vertices"):
-            raise GraphParseError(f"unknown statement {word!r}", lineno)
         try:
             if word == "edge":
                 edges.append((int(words[i + 1]), int(words[i + 2])))
-                edge_lines.append(lineno)
+                edge_at.append(i)
                 i += 3
             elif word == "valence":
-                declared[int(words[i + 1])] = (int(words[i + 2]), lineno)
+                declared[int(words[i + 1])] = (int(words[i + 2]), lines[i])
                 i += 3
-            else:
-                vertex_count, count_line = int(words[i + 1]), lineno
+            elif word == "vertices":
+                vertex_count, count_line = int(words[i + 1]), lines[i]
                 i += 2
+            elif word == "}":
+                i += 1
+                break
+            else:
+                raise GraphParseError(f"unknown statement {word!r}", lines[i])
+        except GraphParseError:  # the unknown statement
+            raise
         except (ValueError, IndexError):
             raise _parse_error(words, lines, i + 1) from None
         if i >= n or words[i] != ";":
@@ -751,17 +753,17 @@ def parse_graph_block(words: list[str], lines: list[int], i: int) -> tuple[Graph
     if not 0 <= vertex_count <= 2 * len(edges):
         raise GraphParseError(f"vertex count {vertex_count} outside "
                               f"0..{2 * len(edges)} (two ends per edge)", count_line)
-    for v, (_, lineno) in declared.items():
+    valences = [3] * vertex_count  # undeclared vertices are trivalent
+    for v, (k, lineno) in declared.items():
         if not 0 <= v < vertex_count:
             raise GraphParseError(f"valence names missing vertex {v}", lineno)
-    # undeclared vertices are trivalent
-    valences = [declared[v][0] if v in declared else 3 for v in range(vertex_count)]
+        valences[v] = k
     try:
         return make_graph(vertex_count, valences, edges), i
     except GraphError as exc:
         name = type(exc).__name__
         if exc.edge is not None:
-            raise GraphParseError(name, edge_lines[exc.edge]) from None
+            raise GraphParseError(name, lines[edge_at[exc.edge]]) from None
         if exc.vertex in declared:
             raise GraphParseError(f"{name}: {exc}", declared[exc.vertex][1]) from None
         raise GraphParseError(f"{name}: {exc}; undeclared vertices are trivalent, "

@@ -15,9 +15,11 @@ contraction that pins the polynomial lives in the tests as its referee.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .graph_core import Graph, OrientedGraph, to_cyclic
 from .graph_algebra import GraphVector
@@ -73,17 +75,19 @@ def weight(N: int, g: Union[Graph, OrientedGraph]) -> Fraction:
 
 
 def weight_vector(N: int, v: GraphVector) -> Fraction:
-    total = Fraction(0)
-    for g, coeff in v.terms.items():
-        total += coeff * weight(N, g)
-    return total
+    """sum coeff * weight(N, g) over v, in integers over one denominator."""
+    den = math.lcm(*(c.denominator for c in v.terms.values()))
+    total = 0
+    for g, c in v.terms.items():
+        total += (c.numerator * (den // c.denominator)
+                  * sum(a * N ** f for f, a in gl_polynomial(g).items()))
+    return Fraction(total, den)
 
 
 @cache
-def gl_polynomial(g: Graph) -> dict[int, int]:
+def gl_polynomial(g: Graph) -> Mapping[int, int]:
     """The gl(N) weight of a trivalent presentation as {f: coefficient of
-    N^f}, zero coefficients dropped.  Cached per presentation, like
-    canonical_form: callers must not mutate the returned dict.
+    N^f}, zero coefficients dropped; cached per presentation, so read-only.
 
     With the trace form f_abc = tr(a[b,c]) = tr(abc) - tr(acb), so each
     vertex is the signed sum of its two cyclic orders and the weight is a
@@ -97,7 +101,7 @@ def gl_polynomial(g: Graph) -> dict[int, int]:
     if any(v != 3 for v in g.valences):
         raise NotTrivalent("weights are defined for purely trivalent graphs")
     if g.n == 0:
-        return {0: 1}
+        return MappingProxyType({0: 1})
     cyclic, sign = to_cyclic(g)
     darts = range(2 * len(g.edges))
     fwd, bwd, vertex_bit = [0] * len(darts), [0] * len(darts), [0] * len(darts)
@@ -119,4 +123,4 @@ def gl_polynomial(g: Graph) -> dict[int, int]:
                     d = rot[d ^ 1]
         term = -2 * sign if mask.bit_count() % 2 else 2 * sign
         poly[faces] = poly.get(faces, 0) + term
-    return {f: c for f, c in sorted(poly.items()) if c}
+    return MappingProxyType({f: c for f, c in sorted(poly.items()) if c})

@@ -23,6 +23,7 @@ from fractions import Fraction
 import math
 import reprlib
 import sys
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -301,32 +302,30 @@ def parse_pi_scalar(text: str) -> PiScalar:
 # ---------------------------------------------------------------------------
 # sparse exact linear algebra
 
-_ZERO = Fraction(0)
-
-
 def accumulate(terms: dict, key, value) -> None:
     """terms[key] += value, dropping the key when the sum is zero."""
-    new = terms.get(key, _ZERO) + value
+    old = terms.get(key)
+    new = value if old is None else old + value
     if new:
         terms[key] = new
-    else:
-        terms.pop(key, None)
+    elif old is not None:
+        del terms[key]
 
 
 class Combination:
-    """A finite combination {key: nonzero Fraction} over one symbol (None
-    for graphs): the module arithmetic shared by its subclasses, which
-    normalize (``_key``) and multiply their own keys."""
+    """A finite combination ``terms`` {key: nonzero Fraction} over one
+    ``symbol`` (None for graphs), neither rebindable: the module arithmetic
+    shared by its subclasses, which normalize (``_key``) and multiply keys."""
 
-    __slots__ = ("symbol", "terms")
+    __slots__ = ("_symbol", "_terms")
+    symbol, terms = property(attrgetter("_symbol")), property(attrgetter("_terms"))
 
     def __init__(self, terms=None, symbol=None):
-        self.symbol = symbol
-        self.terms = {}
+        self._symbol, self._terms = symbol, {}
         for key, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff:
-                accumulate(self.terms, self._key(key), coeff)
+                accumulate(self._terms, self._key(key), coeff)
 
     def _key(self, key):
         return key
@@ -334,7 +333,7 @@ class Combination:
     def _new(self, terms: dict):
         """A combination of this kind and symbol on zero-free terms."""
         out = object.__new__(type(self))
-        out.symbol, out.terms = self.symbol, terms
+        out._symbol, out._terms = self._symbol, terms
         return out
 
     def frozen(self):

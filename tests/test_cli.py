@@ -354,6 +354,18 @@ def test_negative_genus_degree():
     assert (code, out, err) == (2, "", "DegreeMismatch: degree -1 is negative\n")
 
 
+def test_a_genus_is_rendered_once_per_process(monkeypatch):
+    rendered = []
+    render = genus.ChernPolynomial.render
+    monkeypatch.setattr(genus.ChernPolynomial, "render",
+                        lambda p: rendered.append(p) or render(p))
+    cli._genus_text.cache_clear()
+    argv = ["genus", "--series", "todd", "--k", "2"]
+    first = run_cli(argv)
+    assert first[0] == 0 and run_cli(argv) == first
+    assert len(rendered) == 1
+
+
 def test_unknown_algebra():
     theta_vector = str(DATA / "theta_vector.txt")
     for name in ("e8", "gl²", "abelian(¹)", "gl(" + "9" * 5000 + ")"):

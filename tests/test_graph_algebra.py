@@ -436,7 +436,8 @@ def test_cached_relation_set_is_read_only():
     lambda: ihx_relations(2).echelon.add({1: 1}),
     lambda: setattr(ihx_relations(2), "k", 3),
     lambda: ihx_relations(3).relations[0].terms.clear(),
-], ids=["echelon", "attribute", "relation-terms"])
+    lambda: setattr(ihx_relations(3).relations[0], "terms", {}),
+], ids=["echelon", "attribute", "relation-terms", "relation-rebind"])
 def test_cached_relation_set_refuses_writes(write):
     emitted = [format_vector(rel) for rel in ihx_relations(3).relations]
     with pytest.raises(AttributeError):

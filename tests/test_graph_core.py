@@ -449,6 +449,11 @@ def test_make_graph_names_the_fault():
     with pytest.raises(ValenceMismatch) as info:
         make_graph(2, (1, 3), [(0, 1)])
     assert (info.value.edge, info.value.vertex) == (None, 1)
+    # vertex 1 has too many incidences, vertex 2 a valence of 2: vertex 1 is named
+    with pytest.raises(ValenceMismatch) as info:
+        make_graph(4, (1, 1, 2, 3), [(0, 1), (1, 2), (2, 3), (3, 1)])
+    assert (info.value.edge, info.value.vertex) == (None, 1)
+    assert str(info.value) == "vertex 1 has valence 1 but 3 incidences"
 
 
 def test_parse_declared_valence_mismatch_reports_its_line():

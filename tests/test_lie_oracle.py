@@ -437,6 +437,15 @@ def test_theta_polynomial():
     assert weight(builtin("gl(60)"), theta()) == 2 * 60 * (60 * 60 - 1)
 
 
+def test_cached_gl_polynomial_is_read_only():
+    with pytest.raises(AttributeError):
+        gl_polynomial(theta()).clear()
+    with pytest.raises(TypeError):
+        gl_polynomial(theta())[1] = 0
+    assert gl_polynomial(theta()) == {1: -2, 3: 2}
+    assert weight(2, theta()) == 12
+
+
 def test_gl_polynomial_of_the_empty_graph_and_of_legs():
     assert gl_polynomial(Graph((), ())) == {0: 1}
     with pytest.raises(NotTrivalent):

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from graphgenus.cli import CHERN_FLAGS, main as cli_main
 from graphgenus.genus import CharPowerSeries, ChernData
-from graphgenus.graph_algebra import GraphVector
+from graphgenus.graph_algebra import GraphVector, enumerate_trivalent
 from graphgenus.graph_core import canonical_form
 from graphgenus.hk_analysis import ManifoldData
+from graphgenus.lie_oracle import weight, weight_vector
 from graphgenus.scalars import PiScalar
 from conftest import random_unitrivalent, represent
 
@@ -68,6 +69,21 @@ def test_insertion_is_linear_in_the_presentation_sign(rng, c):
     assert GraphVector.from_graph(h, c) == GraphVector.from_graph(g, c * pred)
     assert GraphVector.from_graph(h, c).coefficient(g) == \
         (c * pred if canonical_form(g).sign_state else F(0))
+
+
+CLASSES = [og.graph for k in range(4) for og in enumerate_trivalent(k) if og.sign_state]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CLASSES), fractions), max_size=10),
+       st.integers(1, 4))
+def test_weight_vector_is_the_sum_of_the_weights(terms, N):
+    v = GraphVector.zero()
+    for g, c in terms:
+        v = v + GraphVector.from_graph(g, c)
+    w = weight_vector(N, v)
+    assert isinstance(w, F)
+    assert w == sum((c * weight(N, g) for g, c in terms), F(0))
 
 
 @settings(deadline=None)

@@ -8,9 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from graphgenus import (
-    ChernData, Genus, ManifoldData, OrientedGraph, PiScalar, bridge_identity,
-    builtin_genera, canonical_form, omega, theta, validate, wheel,
-    wheeling_check,
+    ChernData, ChernPolynomial, Genus, GraphVector, ManifoldData, OrientedGraph,
+    PiScalar, bridge_identity, builtin_genera, canonical_form, omega, theta,
+    validate, wheel, wheeling_check,
 )
 
 
@@ -101,7 +101,9 @@ def test_chern_data_is_immutable_inside_manifold_data():
 def test_slotted_records_copy_and_pickle():
     og = canonical_form(wheel(4))
     for record in (og, PiScalar.of(F(1, 3), 2), PiScalar.of(F(1, 3), 1).root(2),
-                   _manifold(norm_R_sq=PiScalar.of(2))):
+                   _manifold(norm_R_sq=PiScalar.of(2)),
+                   GraphVector.from_graph(wheel(4), F(2, 3)),
+                   ChernPolynomial.variable("c", 2) * F(1, 12)):
         for clone in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert clone == record and repr(clone) == repr(record)
