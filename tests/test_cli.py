@@ -1,5 +1,6 @@
 """End-to-end command line tests pinned to golden output files."""
 
+import hashlib
 import math
 import os
 import re
@@ -53,6 +54,56 @@ def test_golden(name):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+# sha256 of the stdout of `omega --k K` (K = 0..6, GRAPHGENUS_MAX_K=6) and of
+# `genus --series S --k K` (K = 0..8); with the odd classes set to zero, ahat
+# and todd print the same text
+AHAT_DIGESTS = [
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "37379b95571982b6400147dcccab1042b0b6d5ca11c43682874f553d18fba505",
+    "a27562bea8aa0cfd3082d6cecd58f3d748ac2efa2f3c1f4037036df0de9286d5",
+    "5c893abf49f8cdbf3d0a2bc57498cd9d608aa1409c622023d6e84366ac206eb5",
+    "6fa80421567d4ccc5bebe70bffe7804b3749828f1d1b0432689241502a013732",
+    "ff554ccd7df7ec538ba058bd339918503dfd2255ef351b8dfa89e59ee1755a36",
+    "4b2ea02c229317c3cfff599402f6a159c4e9674c9abde713c13524ab26074a72",
+    "e7d5107c57ace6cec918d86caec84ed4d61959e8ad8c2c9711f42c03b71e4166",
+    "06cce070d8adbf621ac2764279aa338a0d6d6c63216e5ee957be65e7a026fe29",
+]
+TEXT_DIGESTS = {
+    "omega": [
+        "86debbcda70d5eb517679ed3978f7611542dfdaaba4d24e8fb0503e4b51e2f62",
+        "5bdc8db724c05bf733cdbe02fc0ef5f03e483ff8c2fdcc20db990862c0f43754",
+        "3c7a72e22daae319031d8c1232b127beba3c40ad804f590c14e5981654ce764e",
+        "f3c5aa62f787e96d58117f9c7f37f8a0146788f6f61b79a19eae0f1913851585",
+        "15442083f893402c1f398a3c36a2943acd1deda85d62b1b5ba927a4aa62d525c",
+        "db0a9f8d13494afad2298c99c7bc136dcb5979c95e8dca8b2d3ccec52430af51",
+        "c9c353ea4063d267b2290a845b514e7c6305c93cf6f32bbbd54bd6f866da0a74",
+    ],
+    "ahat": AHAT_DIGESTS,
+    "todd": AHAT_DIGESTS,
+    "sqrt-ahat": [
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "fb0fa53881640e6337a019dfe5611dfe8968c583f9b62bcf64467bcb69be3a0c",
+        "c21754ebf3d18cee865336ce69c7a12865f9181a1ca465c7300ed41ef16c97ac",
+        "6e7609a34b11ae1ed30ce2fe1eba85e02a99490c410fa40944dc5824f55b5f27",
+        "3ba7aaf8714504b104eb1364f78de1bde010f42711d14339dc10358d3979652c",
+        "17ab96963cdc46f66e9d250ee74b4a871e400cf04946d759a84adb22c7a237d6",
+        "9ff9f6dc203c3967ea06e8024437072ff0783d644881ad0c5d2221751e435604",
+        "235176a0bcf4a6431823c110ee744b3679eee5450c1d28fb48dfffd9246d2df6",
+        "1bab6a613148963dc421c68560df82d3142389a941aec45893a1e0315c699d9d",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+def test_omega_and_genus_text_digests(monkeypatch, command):
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "6")
+    head = ["omega"] if command == "omega" else ["genus", "--series", command]
+    for k, digest in enumerate(TEXT_DIGESTS[command]):
+        code, out, err = run_cli(head + ["--k", str(k)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, k)
 
 
 def test_dim_small_degrees():
