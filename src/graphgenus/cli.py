@@ -97,7 +97,7 @@ def _genus_text(series: str, k: int) -> str:  # rendered once per process
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         return fh.read()
 
 

@@ -2,19 +2,20 @@
 
 A genus is generated by a one-variable series Q with Q(0) = 1: take
 formal roots x_1, ..., splitting the total Chern class, and expand
-prod_i Q(x_i) into symmetric functions.  One core does this for every
-presentation: with q = log Q, sum_i log Q(x_i) = sum_j q_j s_j in the
-power sums s_j, and the genus is the top-weight part of its
-exponential.  The core takes s_j in whichever basis is wanted (the s_j
-themselves, or Chern classes through Newton's identities), with the odd
-classes set to zero.  The exact core in ``scalars`` supplies the rest:
-ChernPolynomial takes its module arithmetic from ``Combination``, and
-one recurrence, w E_w = sum_j j L_j E_{w-j} (``extend_exp`` and, solved
-for L, ``graded_log``), builds every exponential and log weight by
-weight: of a series (and so its inverse and square root), of a graded
-polynomial, and of the total class in Newton's identities.  All
-coefficients are Fractions; series carry an explicit truncation
-order and refuse mixed-order arithmetic.
+prod_i Q(x_i) into symmetric functions.  With q = log Q,
+sum_i log Q(x_i) = sum_j q_j s_j in the power sums s_j, and the genus
+is the top-weight part of its exponential.  One ``_Exponential`` builds
+it, in the s_j or in Chern classes through Newton's identities, with
+the odd classes set to zero; the genera and the wheeled exponential
+(``wheeling.omega``, series sqrt(sinh(x/2)/(x/2))) all read it.  The
+exact core in ``scalars`` supplies the rest: ChernPolynomial takes its
+module arithmetic from ``Combination``, and one recurrence,
+w E_w = sum_j j L_j E_{w-j} (``extend_exp`` and, solved for L,
+``graded_log``), builds every exponential and log weight by weight: of
+a series (and so its inverse and square root), of that exponential,
+and of the total class in Newton's identities.  All coefficients are
+Fractions; series carry an explicit truncation order and refuse
+mixed-order arithmetic.
 
 Weights are complex degrees: c_i and s_i have weight i, so the
 real-degree-4k piece of a genus is the weight-2k homogeneous component
@@ -178,9 +179,6 @@ class ChernPolynomial(Combination):
     def variable(symbol: str, index: int) -> "ChernPolynomial":
         return ChernPolynomial(symbol, {(index,): Fraction(1)})
 
-    def weight(self, mono: Monomial) -> int:
-        return sum(mono)
-
     def __mul__(self, other) -> "ChernPolynomial":
         if not isinstance(other, ChernPolynomial):
             return super().__mul__(other)
@@ -190,24 +188,6 @@ class ChernPolynomial(Combination):
             for m2, c2 in other.terms.items():
                 accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
         return self._new(out)
-
-    def truncate(self, max_weight: int) -> "ChernPolynomial":
-        return ChernPolynomial(self.symbol, {
-            m: c for m, c in self.terms.items() if self.weight(m) <= max_weight})
-
-    def homogeneous(self, w: int) -> "ChernPolynomial":
-        return ChernPolynomial(self.symbol, {
-            m: c for m, c in self.terms.items() if self.weight(m) == w})
-
-    def exp_truncated(self, max_weight: int) -> "ChernPolynomial":
-        """exp(self) through weight max_weight, by extend_exp on the
-        homogeneous parts."""
-        if () in self.terms:
-            raise BadConstantTerm("exp needs zero constant term")
-        parts = [self.homogeneous(j) for j in range(max_weight + 1)]
-        graded = extend_exp(parts, [ChernPolynomial.one(self.symbol)],
-                            ChernPolynomial.zero(self.symbol))
-        return sum(graded[1:], graded[0])
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
@@ -266,75 +246,78 @@ def log_coefficients(Q: CharPowerSeries) -> list[Fraction]:
 
 
 class _Exponential:
-    """exp(sum_j q_j power_sum(j)), q = log Q, kept weight by weight.
+    """exp(sum_j q_j s_j), q = log Q, kept weight by weight, each weight
+    frozen: in the power sums s_j (``symbol`` "s", the odd ones zero) or
+    in Chern classes through Newton's identities (``symbol`` "c").
 
     Q comes from ``series(order)``, truncated after x^order.  A series
     truncated at a higher order has the same coefficients below it, so
     every weight computed stays valid, and a higher one only extends the
     list."""
 
-    __slots__ = ("series", "power_sum", "zero", "parts", "graded")
+    __slots__ = ("series", "zero", "parts", "graded")
 
-    def __init__(self, series: Callable[[int], CharPowerSeries], symbol: str,
-                 power_sum: Callable[[int], ChernPolynomial]):
+    def __init__(self, series: Callable[[int], CharPowerSeries], symbol: str):
         if series(0).coeffs[0] != 1:
             raise BadConstantTerm("a genus series needs constant term 1")
-        self.series, self.power_sum = series, power_sum
+        self.series = series
         self.zero = ChernPolynomial.zero(symbol)
-        # the weight-j part of the exponent is q_j power_sum(j)
         self.parts = [self.zero]
-        self.graded = [ChernPolynomial.one(symbol)]
+        self.graded = [ChernPolynomial.one(symbol).frozen()]
+
+    def _power_sum(self, j: int) -> ChernPolynomial:
+        if self.zero.symbol == "c":
+            return power_sum_in_chern(j)
+        return self.zero if j % 2 else ChernPolynomial.variable("s", j)
 
     def weight(self, w: int) -> ChernPolynomial:
         if w >= len(self.graded):
             q = log_coefficients(self.series(w))
-            self.parts += [q[j - 1] * self.power_sum(j) if q[j - 1] else self.zero
+            self.parts += [q[j - 1] * self._power_sum(j) if q[j - 1] else self.zero
                            for j in range(len(self.parts), w + 1)]
+            known = len(self.graded)
             extend_exp(self.parts, self.graded, self.zero)
+            self.graded[known:] = [e.frozen() for e in self.graded[known:]]
         return self.graded[w]
 
 
-def _genus(Q: CharPowerSeries, k: int, symbol: str,
-           power_sum: Callable[[int], ChernPolynomial]) -> ChernPolynomial:
-    """Weight-2k part of exp(sum_j q_j power_sum(j)), q = log Q."""
+def _genus(Q: CharPowerSeries, k: int, symbol: str) -> ChernPolynomial:
+    """Weight-2k part of exp(sum_j q_j s_j), q = log Q, in ``symbol``."""
     if k < 0:
         raise DegreeMismatch(f"degree {k} is negative")
-    exponential = _Exponential(lambda order: Q, symbol, power_sum)
     if Q.order < 2 * k:
         raise OrderMismatch(f"series order {Q.order} below required {2 * k}")
-    return exponential.weight(2 * k)
+    return _Exponential(lambda order: Q, symbol).weight(2 * k)
 
 
 def genus_in_power_sums(Q: CharPowerSeries, k: int) -> ChernPolynomial:
     """Weight-2k part of exp(sum_j q_j s_j), kept in the s variables,
     with the odd power sums set to zero."""
-    return _genus(Q, k, "s", lambda j: (
-        ChernPolynomial.zero("s") if j % 2 else ChernPolynomial.variable("s", j)))
+    return _genus(Q, k, "s")
 
 
 def genus_polynomial(Q: CharPowerSeries, k: int) -> ChernPolynomial:
     """The real-degree-4k genus polynomial in Chern classes, with the odd
     classes set to zero."""
-    return _genus(Q, k, "c", power_sum_in_chern)
+    return _genus(Q, k, "c")
 
 
 class Genus(NamedTuple):
-    """A named genus; equal genera share ``polynomial``'s cache and one
-    exponential, grown to the highest degree asked for so far."""
+    """A named genus; equal genera share one exponential, grown to the
+    highest degree asked for so far, and so the same polynomials."""
 
     name: str
     series: Callable[[int], CharPowerSeries]
 
-    @cache
     def polynomial(self, k: int) -> ChernPolynomial:
         if k < 0:
             raise DegreeMismatch(f"degree {k} is negative")
-        return _exponential(self).weight(2 * k).frozen()
+        return _exponential(self).weight(2 * k)
 
 
 @cache
 def _exponential(genus: Genus) -> _Exponential:
-    return _Exponential(genus.series, "c", power_sum_in_chern)
+    return _Exponential(genus.series, "c")
 
 
 def builtin_genera() -> dict[str, Genus]:

@@ -31,7 +31,8 @@ from .graph_algebra import (
     theta_vector,
 )
 from .genus import (
-    ChernPolynomial, genus_in_power_sums, sinh_half_over_half, sqrt_ahat_series,
+    ChernPolynomial, _Exponential, genus_in_power_sums, sinh_half_over_half,
+    sqrt_ahat_series,
 )
 
 
@@ -77,11 +78,12 @@ def omega(k: int) -> OmegaTruncation:
 @functools.cache
 def _omega(k: int) -> OmegaTruncation:
     b = b_coefficients(max(k, 1))
-    exponent = ChernPolynomial("s", {(n,): c for n, c in b.items()})
-    terms = [(tuple(n // 2 for n in mono), coeff)
-             for mono, coeff in exponent.exp_truncated(2 * k).items()]
-    terms.sort(key=lambda term: (sum(term[0]), term[0]))
-    return OmegaTruncation(k, MappingProxyType(b), tuple(terms))
+    # log sqrt(sinh(x/2)/(x/2)) = sum_n b_2n x^2n; weights come in order
+    exponential = _Exponential(lambda order: sinh_half_over_half(order).sqrt(), "s")
+    exponential.weight(2 * k)  # every lower weight from the same series
+    terms = tuple((tuple(n // 2 for n in mono), coeff) for w in range(2 * k + 1)
+                  for mono, coeff in exponential.weight(w).items())
+    return OmegaTruncation(k, MappingProxyType(b), terms)
 
 
 def _wheel_product(parts) -> Graph:

@@ -1,9 +1,12 @@
-"""Shared helpers: random graph presentations and an in-process CLI runner."""
+"""Shared helpers: random graph presentations, an in-process CLI runner and
+a Taylor-series referee for graded exponentials."""
 from __future__ import annotations
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+from graphgenus.genus import ChernPolynomial
 from graphgenus.graph_core import Graph, OrientedGraph, perm_sign
 from graphgenus.cli import main as cli_main
 
@@ -82,3 +85,24 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     except SystemExit as exc:  # argparse usage errors
         code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def taylor_exp(x: ChernPolynomial, max_weight: int) -> list[ChernPolynomial]:
+    """The weights 0..max_weight of exp(x) = sum_n x^n / n!, for x without a
+    constant term, by plain powers cut at max_weight (a weight is a
+    monomial's index sum).  Every term of x^n has weight at least n, so the
+    sum stops at n = max_weight.  Shares no code with ``extend_exp``."""
+    assert () not in x.terms
+
+    def cut(p: ChernPolynomial) -> ChernPolynomial:
+        return ChernPolynomial(p.symbol, {
+            mono: c for mono, c in p.terms.items() if sum(mono) <= max_weight})
+
+    total = term = ChernPolynomial.one(x.symbol)
+    for n in range(1, max_weight + 1):
+        term = cut(term * x) * Fraction(1, n)
+        total = total + term
+    weights: list[dict] = [{} for _ in range(max_weight + 1)]
+    for mono, c in total.terms.items():
+        weights[sum(mono)][mono] = c
+    return [ChernPolynomial(x.symbol, terms) for terms in weights]

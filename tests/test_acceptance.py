@@ -56,7 +56,7 @@ from graphgenus.wheeling import (
     wheeling_check,
 )
 
-from conftest import random_unitrivalent, represent, run_cli
+from conftest import random_unitrivalent, represent, run_cli, taylor_exp
 
 
 _PENDING: list[str] = []
@@ -162,7 +162,7 @@ def test_c05_wheel_sum_equals_sqrt_genus_in_chern_classes():
         for n, bn in b.items():
             L = L + (-bn) * power_sum_in_chern(n)
         for k in (1, 2):
-            lhs = L.exp_truncated(2 * k).homogeneous(2 * k)
+            lhs = taylor_exp(L, 2 * k)[2 * k]
             assert lhs == genus_polynomial(sqrt_ahat_series(2 * k), k)
             assert bridge_identity(k).equal
 

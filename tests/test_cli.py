@@ -154,6 +154,16 @@ def test_failed_wheeling_check_exits_1_with_its_residual(monkeypatch):
     assert out.splitlines()[1].startswith("coeff -1/24 graph {")
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain = DATA / "theta_permuted.txt"
+    marked = tmp_path / "theta_bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for head in (["normalize"], ["oracle", "--algebra", "gl2"]):
+        expected = run_cli(head + [str(plain)])
+        assert expected[0] == 0
+        assert run_cli(head + [str(marked)]) == expected
+
+
 def test_parse_error_reports_line_number():
     code, out, err = run_cli(["normalize", str(DATA / "selfloop.txt")])
     assert code == 2

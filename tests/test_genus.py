@@ -20,6 +20,8 @@ from graphgenus.genus import (
 )
 from graphgenus.hk_analysis import ManifoldData, euler_number
 from graphgenus.scalars import PiScalar
+from graphgenus.wheeling import b_coefficients, omega
+from conftest import taylor_exp
 
 
 def poly(symbol: str, table) -> ChernPolynomial:
@@ -145,22 +147,16 @@ def test_polynomial_symbol_discipline():
         poly("p", {(1,): 1})
 
 
-def test_truncate_and_homogeneous():
-    b = poly("c", {(2,): 2, (2, 2): 1, (4,): -1, (2, 4): 5})
-    assert b.truncate(4).items() == poly(
-        "c", {(2,): 2, (2, 2): 1, (4,): -1}).items()
-    assert b.homogeneous(6).items() == [((2, 4), F(5))]
-
-
-def test_exp_truncated_matches_series():
-    x = poly("c", {(2,): F(1, 3), (4,): -2})
-    e = x.exp_truncated(8)
-    expected = ChernPolynomial.one("c")
-    term = ChernPolynomial.one("c")
-    for n in range(1, 5):
-        term = (term * x).truncate(8) * F(1, n)
-        expected = expected + term
-    assert e == expected.truncate(8)
+def test_exp_truncated_matches_series(monkeypatch):
+    # omega's terms, weight by weight and by partition within a weight,
+    # against the Taylor exponential of sum_n b_2n s_2n
+    monkeypatch.setenv("GRAPHGENUS_MAX_K", "6")
+    exponent = poly("s", {(n,): c for n, c in b_coefficients(6).items()})
+    for k in range(7):
+        expected = tuple((tuple(n // 2 for n in mono), c)
+                         for part in taylor_exp(exponent, 2 * k)
+                         for mono, c in part.items())
+        assert omega(k).partition_terms == expected, k
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +238,14 @@ def test_todd_equals_ahat_without_odd_classes():
         assert g["todd"].polynomial(k) == g["ahat"].polynomial(k)
 
 
+def test_todd_equals_ahat_without_odd_power_sums():
+    # the same in the s basis: log Todd - log A-roof = x/2 meets only s_1
+    for k in range(5):
+        todd = genus_in_power_sums(todd_series(2 * k), k)
+        assert todd == genus_in_power_sums(ahat_series(2 * k), k)
+        assert all(i % 2 == 0 for mono in todd.terms for i in mono)
+
+
 def test_sqrt_genus_squares_to_ahat():
     g = builtin_genera()
     for k in range(4):
@@ -249,7 +253,7 @@ def test_sqrt_genus_squares_to_ahat():
         for i in range(k + 1):
             total = total + g["sqrt_ahat"].polynomial(i) * \
                 g["sqrt_ahat"].polynomial(k - i)
-        assert total.homogeneous(2 * k) == g["ahat"].polynomial(k)
+        assert total == g["ahat"].polynomial(k)
 
 
 def test_render_matches_cli_contract():
@@ -365,7 +369,7 @@ def test_shared_exponential_does_not_depend_on_request_order():
             exponent = ChernPolynomial.zero("c")
             for j in range(1, 2 * k + 1):
                 exponent = exponent + q[j - 1] * power_sum_in_chern(j)
-            referee = exponent.exp_truncated(2 * k).homogeneous(2 * k)
+            referee = taylor_exp(exponent, 2 * k)[2 * k]
             assert fresh.polynomial(k) == referee, (name, k)
 
 

@@ -8,10 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from graphgenus import (
-    ChernData, ChernPolynomial, Genus, GraphVector, ManifoldData, OrientedGraph,
+    ChernData, ChernPolynomial, GraphVector, ManifoldData, OrientedGraph,
     PiScalar, bridge_identity, builtin_genera, canonical_form, omega, theta,
     validate, wheel, wheeling_check,
 )
+from graphgenus.genus import _exponential
 
 
 def _manifold(**changes):
@@ -39,9 +40,9 @@ def test_equal_genera_share_the_polynomial_cache():
     assert first is not second and first == second
     assert hash(first) == hash(second)
     poly = first.polynomial(4)
-    hits = Genus.polynomial.cache_info().hits
+    hits = _exponential.cache_info().hits
     assert second.polynomial(4) is poly
-    assert Genus.polynomial.cache_info().hits == hits + 1
+    assert _exponential.cache_info().hits == hits + 1
 
 
 def test_manifold_data_keywords_and_defaults():
